@@ -42,11 +42,12 @@
 ///                       scheduler uses): the result JSON's spec field --
 ///                       and hence its bytes -- match a journal-free run
 ///   --resume            resume --journal's path (seam-level resume=1)
-///   --assert-identical  (sweep mode) rerun the sweep serially, unbatched
-///                       and unsharded (threads=1 batch=1 workers=1, no
-///                       journal) and fail with exit code 2 unless the
-///                       result is identical -- the determinism check CI
-///                       runs
+///   --assert-identical  (sweep mode) rerun the sweep serially, in
+///                       lockstep blocks of one, unsharded (threads=1
+///                       batch=1 workers=1, no journal) and fail with exit
+///                       code 2 unless the result is identical -- the
+///                       determinism check CI runs: lockstep batch=B
+///                       against batch-of-one
 ///
 /// Exit code: 0 on success (converged solve / identical sweep), 1 on a
 /// non-converged solve or spec error, 2 on a sweep determinism mismatch.
@@ -182,8 +183,8 @@ int main(int argc, char** argv) {
     bool identical = true;
     if (assert_identical) {
       // Determinism contract check: a threaded, batched and/or sharded
-      // sweep must be bitwise identical to the in-process serial
-      // solo-solve one (same points, same doubles).
+      // sweep must be bitwise identical to the in-process serial sweep
+      // of batch-of-one solves (same points, same doubles).
       experiment::ScenarioSpec serial = spec;
       serial.set("threads", "1");
       serial.set("batch", "1");

@@ -16,7 +16,6 @@
 
 #include "experiment/journal.hpp"
 #include "krylov/operator.hpp"
-#include "krylov/workspace.hpp"
 #include "solver/registry.hpp"
 #include "solver/solver.hpp"
 
@@ -118,6 +117,13 @@ void run_pinned(Fn&& fn) {
 krylov::FtGmresResult run_baseline(const sparse::CsrMatrix& A,
                                    const la::Vector& b,
                                    const krylov::FtGmresOptions& opts) {
+  const krylov::CsrOperator op(A);
+  return run_baseline(op, b, opts);
+}
+
+krylov::FtGmresResult run_baseline(const krylov::LinearOperator& A,
+                                   const la::Vector& b,
+                                   const krylov::FtGmresOptions& opts) {
   // Pinned like every sweep solve, so run_baseline always agrees with
   // run_injection_sweep's baseline fields exactly.
   krylov::FtGmresResult baseline;
@@ -125,19 +131,9 @@ krylov::FtGmresResult run_baseline(const sparse::CsrMatrix& A,
   return baseline;
 }
 
-krylov::FtGmresResult run_baseline(const krylov::LinearOperator& A,
-                                   const la::Vector& b,
-                                   const krylov::FtGmresOptions& opts) {
-  krylov::FtGmresResult baseline;
-  run_pinned([&] { baseline = krylov::ft_gmres(A, b, opts, nullptr); });
-  return baseline;
-}
-
 namespace {
 
-/// The one SolveReport -> SweepPoint translation, shared by the solo and
-/// batched site runners so batch=1 and batch>1 points can never diverge
-/// field-wise.
+/// The one SolveReport -> SweepPoint translation.
 SweepPoint make_sweep_point(const solver::SolveReport& run, std::size_t site,
                             const sdc::FaultCampaign& campaign,
                             const sdc::HessenbergBoundDetector* detector) {
@@ -173,41 +169,18 @@ sdc::InjectionPlan sweep_plan(const SweepConfig& config, std::size_t site) {
   return plan;
 }
 
-/// One faulty solve at one injection site, run through the unified
-/// façade: \p ft is the worker's reusable FtGmresSolver (its internal
-/// workspace makes every solve after the first allocation-free) and \p x
-/// the worker's iterate buffer.  All mutable state (campaign, detector,
+/// A block of faulty solves advanced in lockstep: one fault campaign +
+/// detector chain per site, all sites of the block sharing each step's
+/// matrix stream through the worker's FtGmresSolver (its internal
+/// workspace makes every block after the first allocation-free).  A block
+/// of one is a single solve; every site's result is bitwise identical at
+/// any block size (asserted in tests and by sdc_run --assert-identical),
+/// so batching is purely a traffic optimization.  \p point_indices names
+/// the sweep-point slots this block solves (not necessarily contiguous: a
+/// resumed sweep blocks over the PENDING points); \p xs provides one
+/// iterate buffer per instance.  All mutable state (campaigns, detectors,
 /// event logs, solver workspace) is owned by the caller's thread.
-SweepPoint run_site(solver::FtGmresSolver& ft, const la::Vector& b,
-                    const SweepConfig& config, std::size_t site,
-                    la::Vector& x) {
-  sdc::FaultCampaign campaign(sweep_plan(config, site));
-  std::unique_ptr<sdc::HessenbergBoundDetector> detector;
-  krylov::HookChain chain;
-  chain.add(&campaign);
-  if (config.with_detector) {
-    detector = std::make_unique<sdc::HessenbergBoundDetector>(
-        config.detector_bound, config.detector_response);
-    chain.add(detector.get());
-  }
-
-  ft.set_hook(&chain);
-  const solver::SolveReport run = ft.solve(b.span(), x.span());
-  ft.set_hook(nullptr);
-
-  return make_sweep_point(run, site, campaign, detector.get());
-}
-
-/// A block of faulty solves advanced in lockstep (config.batch > 1): one
-/// fault campaign + detector chain per site, all sites of the block
-/// sharing each outer iteration's matrix stream through
-/// BatchedFtGmresSolver.  Every site's result is bitwise identical to its
-/// run_site() solo run (asserted in tests and by sdc_run
-/// --assert-identical), so batching is purely a traffic optimization.
-/// \p point_indices names the sweep-point slots this block solves (not
-/// necessarily contiguous: a resumed sweep blocks over the PENDING
-/// points); \p xs provides one iterate buffer per instance.
-void run_block(solver::BatchedFtGmresSolver& ft, const la::Vector& b,
+void run_block(solver::FtGmresSolver& ft, const la::Vector& b,
                const SweepConfig& config,
                std::span<const std::size_t> point_indices, SweepPoint* points,
                std::vector<la::Vector>& xs) {
@@ -425,10 +398,9 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
 #endif
 
   // Batching: each worker packs `batch` consecutive pending points into
-  // one lockstep multi-RHS solve, so every outer iteration streams the
-  // matrix once for the whole block instead of once per site.  The
-  // schedule runs over BLOCKS; with batch == 1 this is exactly the
-  // per-site schedule of earlier generations.
+  // one lockstep multi-RHS solve, so every step streams the matrix once
+  // for the whole block instead of once per site.  The schedule runs over
+  // BLOCKS; with batch == 1 every block is a single site.
   const std::size_t batch = cfg.batch;
   const std::size_t n_blocks = (pending.size() + batch - 1) / batch;
 
@@ -447,24 +419,14 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
 #ifdef _OPENMP
     omp_set_num_threads(1); // solver kernels stay serial inside a worker
 #endif
-    // One reusable façade solver per worker thread (solo or batched by
-    // mode): its internal nested workspace (per-instance slots + staging
-    // blocks in batch mode) makes every solve after the worker's first
-    // block allocation-free on the iteration path.
+    // One reusable façade solver per worker thread: its internal nested
+    // workspace (per-instance slots + staging blocks) makes every block
+    // after the worker's first allocation-free on the iteration path.
     const std::unique_ptr<krylov::LinearOperator> op_ptr =
         backend->make_operator(A);
     const krylov::LinearOperator& op = *op_ptr;
-    std::optional<solver::FtGmresSolver> ft;
-    std::optional<solver::BatchedFtGmresSolver> ft_batch;
-    la::Vector x;
-    std::vector<la::Vector> xs;
-    if (batch == 1) {
-      ft.emplace(op, cfg.solver);
-      x.resize(b.size());
-    } else {
-      ft_batch.emplace(op, cfg.solver);
-      xs.assign(batch, la::Vector(b.size()));
-    }
+    solver::FtGmresSolver ft(op, cfg.solver);
+    std::vector<la::Vector> xs(batch, la::Vector(b.size()));
 #pragma omp for schedule(dynamic)
     for (std::int64_t idx = 0; idx < static_cast<std::int64_t>(n_blocks);
          ++idx) {
@@ -473,11 +435,7 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
         const std::size_t count = std::min(batch, pending.size() - first);
         const std::span<const std::size_t> block(pending.data() + first,
                                                  count);
-        if (batch == 1) {
-          points[block[0]] = run_site(*ft, b, cfg, block[0] * cfg.stride, x);
-        } else {
-          run_block(*ft_batch, b, cfg, block, points, xs);
-        }
+        run_block(ft, b, cfg, block, points, xs);
         if (writer) {
           // Serialize journal traffic; each flush is a durability point
           // (these records survive a SIGKILL of this process).
@@ -497,8 +455,7 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
             tid = omp_get_thread_num();
 #endif
             krylov::OperatorStats mine = op.stats();
-            if (ft) mine += ft->mixed_stats();
-            if (ft_batch) mine += ft_batch->mixed_stats();
+            mine += ft.mixed_stats();
             worker_stats[static_cast<std::size_t>(tid)] = mine;
             SweepRunningStats running;
             running.points_done = completed;
@@ -529,8 +486,7 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
 #pragma omp critical(sdcgmres_sweep_stats)
     {
       result.operator_stats += op.stats();
-      if (ft) result.operator_stats += ft->mixed_stats();
-      if (ft_batch) result.operator_stats += ft_batch->mixed_stats();
+      result.operator_stats += ft.mixed_stats();
     }
   }
   if (error) std::rethrow_exception(error);

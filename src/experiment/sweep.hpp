@@ -64,17 +64,17 @@ struct SweepConfig {
                                     ///< multi-core machines use threads
                                     ///< != 1 to recover parallelism.
   std::size_t batch = 1;            ///< injection sites solved in lockstep
-                                    ///< per worker (multi-RHS FT-GMRES,
-                                    ///< krylov::ft_gmres_batch): each
+                                    ///< per worker (krylov::ft_gmres_batch,
+                                    ///< the one FT-GMRES driver): each
                                     ///< worker packs `batch` sites into
-                                    ///< one block so every outer iteration
-                                    ///< streams the matrix once instead of
+                                    ///< one block so every step streams
+                                    ///< the matrix once instead of
                                     ///< `batch` times.  Results are
                                     ///< bitwise identical at every batch
                                     ///< setting (each instance walks its
-                                    ///< solo operation sequence; SpMM
-                                    ///< columns == SpMV).  1 = solo
-                                    ///< solves; 0 is rejected by
+                                    ///< batch-of-one operation sequence;
+                                    ///< SpMM columns == SpMV).  1 = blocks
+                                    ///< of one; 0 is rejected by
                                     ///< validate_sweep_config.
 
   // --- matrix execution backend ---

@@ -1,15 +1,10 @@
 #include "krylov/ft_gmres.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <utility>
-
-#include "krylov/mixed.hpp"
 
 namespace sdcgmres::krylov {
 
-GmresOptions InnerGmresPreconditioner::options_for(
-    std::size_t outer_index) const {
+GmresOptions InnerSolveLedger::options_for(std::size_t outer_index) const {
   GmresOptions opts = opts_;
   if (robust_first_solve_ && outer_index == 0) {
     // Paper Section VII-E-1: spend extra effort where faults hurt most.
@@ -20,6 +15,43 @@ GmresOptions InnerGmresPreconditioner::options_for(
   return opts;
 }
 
+GmresOptions InnerSolveLedger::begin_solve(std::size_t outer_index) {
+  cur_outer_ = outer_index;
+  retrying_ = false;
+  pending_iters_ = 0;
+  pending_applies_ = 0;
+  pending_syncs_ = 0;
+  return options_for(outer_index);
+}
+
+GmresOptions InnerSolveLedger::begin_retry(const GmresStats& aborted) {
+  pending_iters_ = aborted.iterations;
+  pending_applies_ = aborted.operator_applies;
+  pending_syncs_ = aborted.global_syncs;
+  retrying_ = true;
+  return options_for(cur_outer_);
+}
+
+void InnerSolveLedger::record(std::size_t solve_index,
+                              const GmresStats& inner) {
+  InnerSolveRecord rec{.outer_index = solve_index,
+                       .status = inner.status,
+                       .iterations = pending_iters_ + inner.iterations,
+                       .operator_applies =
+                           pending_applies_ + inner.operator_applies,
+                       .residual_norm = inner.residual_norm};
+  rec.global_syncs = pending_syncs_ + inner.global_syncs;
+  rec.reliable_retries = retrying_ ? 1 : 0;
+  rec.triggered_outer_restart =
+      recovery_ == InnerRecovery::RestartOuter &&
+      inner.status == SolveStatus::AbortedByDetector;
+  records_.push_back(rec);
+  retrying_ = false;
+  pending_iters_ = 0;
+  pending_applies_ = 0;
+  pending_syncs_ = 0;
+}
+
 GmresEngine InnerGmresPreconditioner::make_engine(std::span<const double> q,
                                                   std::size_t outer_index,
                                                   std::span<double> z) {
@@ -28,57 +60,29 @@ GmresEngine InnerGmresPreconditioner::make_engine(std::span<const double> q,
   // x the outer Z-arena column).
   cur_q_ = q;
   cur_z_ = z;
-  cur_outer_ = outer_index;
-  retrying_ = false;
-  pending_retry_iters_ = 0;
-  pending_retry_applies_ = 0;
-  pending_retry_syncs_ = 0;
+  const GmresOptions opts = begin_solve(outer_index);
   std::fill(z.begin(), z.end(), 0.0);
-  return GmresEngine(*a_, q, z, options_for(outer_index), hook_, outer_index,
-                     workspace(), /*residual_history=*/nullptr);
+  return GmresEngine(*a_, q, z, opts, hook_, outer_index, workspace(),
+                     /*residual_history=*/nullptr);
 }
 
 GmresEngine InnerGmresPreconditioner::make_reliable_retry(
     const GmresEngine& aborted) {
-  // Carry the aborted attempt's effort into the eventual record, then
-  // rebuild the identical solve with the hook detached: no campaign can
+  // Rebuild the identical solve with the hook detached: no campaign can
   // re-inject and no detector can re-abort -- the recompute is reliable.
-  pending_retry_iters_ = aborted.stats().iterations;
-  pending_retry_applies_ = aborted.stats().operator_applies;
-  pending_retry_syncs_ = aborted.stats().global_syncs;
-  retrying_ = true;
+  const GmresOptions opts = begin_retry(aborted.stats());
   std::fill(cur_z_.begin(), cur_z_.end(), 0.0);
-  return GmresEngine(*a_, cur_q_, cur_z_, options_for(cur_outer_),
-                     /*hook=*/nullptr, cur_outer_, workspace(),
+  return GmresEngine(*a_, cur_q_, cur_z_, opts, /*hook=*/nullptr,
+                     current_outer(), workspace(),
                      /*residual_history=*/nullptr);
-}
-
-void InnerGmresPreconditioner::finish_engine(const GmresEngine& engine) {
-  const GmresStats& inner = engine.stats();
-  InnerSolveRecord rec{.outer_index = engine.solve_index(),
-                       .status = inner.status,
-                       .iterations = pending_retry_iters_ + inner.iterations,
-                       .operator_applies =
-                           pending_retry_applies_ + inner.operator_applies,
-                       .residual_norm = inner.residual_norm};
-  rec.global_syncs = pending_retry_syncs_ + inner.global_syncs;
-  rec.reliable_retries = retrying_ ? 1 : 0;
-  rec.triggered_outer_restart =
-      recovery_ == InnerRecovery::RestartOuter &&
-      inner.status == SolveStatus::AbortedByDetector;
-  records_.push_back(rec);
-  retrying_ = false;
-  pending_retry_iters_ = 0;
-  pending_retry_applies_ = 0;
-  pending_retry_syncs_ = 0;
 }
 
 void InnerGmresPreconditioner::apply(std::span<const double> q,
                                      std::size_t outer_index,
                                      std::span<double> z) {
-  // The canonical straight-through drive of the shared engine (the batch
-  // driver runs the same protocol with the products fused per block,
-  // including the reliable-retry turnover below).
+  // The straight-through drive of the shared engine (the lockstep driver
+  // runs the same protocol with the products fused per block, including
+  // the reliable-retry turnover below).
   GmresEngine engine = make_engine(q, outer_index, z);
   drive_to_completion(*a_, engine);
   if (wants_reliable_retry(engine)) {
@@ -88,101 +92,6 @@ void InnerGmresPreconditioner::apply(std::span<const double> q,
     return;
   }
   finish_engine(engine);
-}
-
-FtGmresResult detail::make_ft_gmres_result(
-    FgmresResult&& outer, std::vector<InnerSolveRecord> inner_solves) {
-  FtGmresResult result;
-  result.x = std::move(outer.x);
-  result.status = outer.status;
-  result.outer_iterations = outer.outer_iterations;
-  result.residual_norm = outer.residual_norm;
-  result.residual_history = std::move(outer.residual_history);
-  result.inner_solves = std::move(inner_solves);
-  result.sanitized_outputs = outer.sanitized_outputs;
-  result.outer_restarts = outer.outer_restarts;
-  result.global_syncs = outer.global_syncs;
-  for (const InnerSolveRecord& rec : result.inner_solves) {
-    result.total_inner_iterations += rec.iterations;
-    result.total_inner_applies += rec.operator_applies;
-    result.reliable_retries += rec.reliable_retries;
-    result.global_syncs += rec.global_syncs;
-  }
-  return result;
-}
-
-namespace {
-
-/// The shared solo drive: the outer engine's loop (same as fgmres()'s,
-/// driven directly so RestartOuter can divert a flagged iteration into
-/// restart_cycle()) around any inner preconditioner exposing the
-/// apply / last_record_requests_outer_restart / records protocol --
-/// the reliable InnerGmresPreconditioner or a MixedInnerGmresT mirror.
-template <typename Inner>
-FtGmresResult drive_solo(const LinearOperator& A, const la::Vector& b,
-                         const FtGmresOptions& opts, Inner& inner,
-                         FtGmresWorkspace& w) {
-  const la::Vector x0(A.cols());
-  FgmresEngine engine(A, b.span(), x0.span(), opts.outer, w.outer);
-  if (!engine.start()) {
-    while (true) {
-      const FgmresEngine::PrecondRequest req = engine.begin_iteration();
-      inner.apply(req.q, req.outer_index, req.z);
-      if (inner.last_record_requests_outer_restart()) {
-        if (engine.restart_cycle()) break;
-        continue;
-      }
-      A.apply(engine.direction(), engine.v_target());
-      if (engine.advance()) break;
-    }
-  }
-  return detail::make_ft_gmres_result(engine.take_result(), inner.records());
-}
-
-/// Solo drive of a mixed-plane configuration: the inner solves run on
-/// the narrowed <S, I> mirror cached in the workspace; the outer
-/// iteration (and its products) stays on the original double operator.
-template <typename S, typename I>
-FtGmresResult ft_gmres_mixed(const LinearOperator& A, const la::Vector& b,
-                             const FtGmresOptions& opts,
-                             ArnoldiHook* inner_hook, FtGmresWorkspace& w) {
-  MixedPlaneOf<S>& plane = ensure_plane<S, I>(w.plane, A);
-  MixedInnerGmresT<S> inner(plane.typed_op(), opts.inner, inner_hook,
-                            opts.robust_first_inner,
-                            &inner_workspace_for<S>(w), opts.recovery);
-  return drive_solo(A, b, opts, inner, w);
-}
-
-} // namespace
-
-FtGmresResult ft_gmres(const LinearOperator& A, const la::Vector& b,
-                       const FtGmresOptions& opts, ArnoldiHook* inner_hook,
-                       FtGmresWorkspace* ws) {
-  FtGmresWorkspace local;
-  FtGmresWorkspace& w = (ws != nullptr) ? *ws : local;
-  // Non-default (precision, index_width) pairs route the inner solves
-  // through the narrowed mirror; the default pair keeps the original
-  // path (no mirror is ever built, no staging copies happen).
-  if (opts.precision == Precision::Float) {
-    if (opts.index_width == IndexWidth::I32) {
-      return ft_gmres_mixed<float, std::int32_t>(A, b, opts, inner_hook, w);
-    }
-    return ft_gmres_mixed<float, std::int64_t>(A, b, opts, inner_hook, w);
-  }
-  if (opts.index_width == IndexWidth::I32) {
-    return ft_gmres_mixed<double, std::int32_t>(A, b, opts, inner_hook, w);
-  }
-  InnerGmresPreconditioner inner(A, opts.inner, inner_hook,
-                                 opts.robust_first_inner, &w.inner,
-                                 opts.recovery);
-  return drive_solo(A, b, opts, inner, w);
-}
-
-FtGmresResult ft_gmres(const sparse::CsrMatrix& A, const la::Vector& b,
-                       const FtGmresOptions& opts, ArnoldiHook* inner_hook,
-                       FtGmresWorkspace* ws) {
-  const CsrOperator op(A);
-  return ft_gmres(op, b, opts, inner_hook, ws);
 }
 
 } // namespace sdcgmres::krylov

@@ -9,6 +9,11 @@
 /// framework's sandbox (sdc/sandbox.hpp) can wrap it with fault campaigns
 /// and detectors; the convenience driver here accepts a raw ArnoldiHook for
 /// the same purpose.
+///
+/// There is one FT-GMRES driver: the lockstep loop of
+/// krylov/ft_gmres_batch.cpp.  ft_gmres() below is a batch of one through
+/// it -- with a single live instance every fused product degenerates to a
+/// direct apply(), so a single solve pays no staging copies.
 
 #include <cstddef>
 #include <vector>
@@ -130,6 +135,76 @@ struct FtGmresResult {
                                      ///< inner share by ~s/2x.
 };
 
+/// The inner-solve bookkeeping every inner plane shares: the per-solve
+/// options (CGS2 swapped in for the first inner solve when
+/// robust_first_solve is set, paper Section VII-E-1), the RetryReliable
+/// turnover with its carried-over effort, the RestartOuter flag, and the
+/// records.  InnerGmresPreconditioner (double plane) and
+/// MixedInnerGmresT (narrowed plane, krylov/mixed.hpp) derive from it, so
+/// the two planes can never diverge in options plumbing or records.
+class InnerSolveLedger {
+public:
+  InnerSolveLedger(const GmresOptions& opts, bool robust_first_solve,
+                   InnerRecovery recovery)
+      : opts_(opts), robust_first_solve_(robust_first_solve),
+        recovery_(recovery) {}
+
+  /// True when \p engine finished AbortedByDetector and the RetryReliable
+  /// policy wants it recomputed: hand the engine to the plane's
+  /// make_reliable_retry() instead of finish_engine().
+  template <typename Engine>
+  [[nodiscard]] bool wants_reliable_retry(const Engine& engine) const {
+    return recovery_ == InnerRecovery::RetryReliable && !retrying_ &&
+           engine.finished() &&
+           engine.stats().status == SolveStatus::AbortedByDetector;
+  }
+
+  /// True when the most recent record was flagged for the RestartOuter
+  /// policy (the driver's cue to call FgmresEngine::restart_cycle()
+  /// instead of direction()/advance()).
+  [[nodiscard]] bool last_record_requests_outer_restart() const {
+    return !records_.empty() && records_.back().triggered_outer_restart;
+  }
+
+  [[nodiscard]] const std::vector<InnerSolveRecord>& records() const {
+    return records_;
+  }
+
+protected:
+  /// Open the books of the inner solve for outer iteration
+  /// \p outer_index; returns its options.
+  [[nodiscard]] GmresOptions begin_solve(std::size_t outer_index);
+
+  /// Carry the aborted attempt's effort into the eventual record (the
+  /// record sums both attempts); returns the options of the reliable
+  /// recompute of the same outer iteration.
+  [[nodiscard]] GmresOptions begin_retry(const GmresStats& aborted);
+
+  /// Close the books: record the finished solve.  With recovery
+  /// RestartOuter, a solve that finished AbortedByDetector is flagged
+  /// triggered_outer_restart.
+  void record(std::size_t solve_index, const GmresStats& inner);
+
+  /// Outer iteration of the solve opened by the last begin_solve().
+  [[nodiscard]] std::size_t current_outer() const noexcept {
+    return cur_outer_;
+  }
+
+private:
+  [[nodiscard]] GmresOptions options_for(std::size_t outer_index) const;
+
+  GmresOptions opts_;
+  bool robust_first_solve_;
+  InnerRecovery recovery_;
+  std::vector<InnerSolveRecord> records_;
+  std::size_t cur_outer_ = 0;
+  // The aborted attempt's effort, carried into the retry's record.
+  std::size_t pending_iters_ = 0;
+  std::size_t pending_applies_ = 0;
+  std::size_t pending_syncs_ = 0;
+  bool retrying_ = false;
+};
+
 /// Inner GMRES exposed as a flexible preconditioner: each application
 /// approximately solves A z = q from a zero initial guess, running
 /// span-to-span out of the outer solver's arenas (q is an outer basis
@@ -138,13 +213,12 @@ struct FtGmresResult {
 /// process; the hook's solve_index equals the outer iteration index.
 ///
 /// There is ONE construction path for the inner solve -- make_engine() --
-/// shared by apply() (the solo FT-GMRES path, which drives the engine
-/// straight through) and the lockstep batch driver
-/// (krylov/ft_gmres_batch.cpp, which interleaves the engines of B
-/// instances so each inner Arnoldi iteration issues one fused
-/// apply_block).  finish_engine() closes the bookkeeping either way, so
-/// the two drivers can never diverge in options plumbing or records.
-class InnerGmresPreconditioner final : public FlexiblePreconditioner {
+/// shared by apply() (the straight-through drive FT-CG uses) and the
+/// FT-GMRES lockstep driver (krylov/ft_gmres_batch.cpp, which interleaves
+/// the engines of B instances so each inner Arnoldi iteration issues one
+/// fused apply_block).  finish_engine() closes the bookkeeping either way.
+class InnerGmresPreconditioner final : public FlexiblePreconditioner,
+                                       public InnerSolveLedger {
 public:
   /// \param ws optional reusable workspace for the inner solves; one inner
   ///        solve runs per outer iteration, so a matching workspace makes
@@ -157,9 +231,8 @@ public:
                            bool robust_first_solve = false,
                            KrylovWorkspace* ws = nullptr,
                            InnerRecovery recovery = InnerRecovery::None)
-      : a_(&A), opts_(opts), hook_(hook),
-        robust_first_solve_(robust_first_solve), ws_(ws),
-        recovery_(recovery) {}
+      : InnerSolveLedger(opts, robust_first_solve, recovery), a_(&A),
+        hook_(hook), ws_(ws) {}
 
   using FlexiblePreconditioner::apply;
   void apply(std::span<const double> q, std::size_t outer_index,
@@ -167,95 +240,47 @@ public:
 
   /// Batch seam: zero-fill \p z and construct the step-driveable engine
   /// of the inner solve for outer iteration \p outer_index (b = \p q, the
-  /// outer basis column; x = \p z, the outer Z-arena column; hook,
-  /// robust-first-solve orthogonalization, and workspace plumbing exactly
-  /// as apply() uses).  The caller drives the engine to completion --
-  /// solo or interleaved with other instances -- and then hands it to
-  /// finish_engine().
+  /// outer basis column; x = \p z, the outer Z-arena column).  The caller
+  /// drives the engine to completion -- alone or interleaved with other
+  /// instances -- and then hands it to finish_engine().
   [[nodiscard]] GmresEngine make_engine(std::span<const double> q,
                                         std::size_t outer_index,
                                         std::span<double> z);
 
-  /// Record the finished engine's inner-solve bookkeeping (exactly the
-  /// record apply() produces).  With recovery RestartOuter, an engine
-  /// that finished AbortedByDetector marks its record
-  /// triggered_outer_restart -- the driver must then call
-  /// FgmresEngine::restart_cycle() instead of direction()/advance()
-  /// (query via last_record_requests_outer_restart()).
-  void finish_engine(const GmresEngine& engine);
-
-  /// True when \p engine finished AbortedByDetector and the RetryReliable
-  /// policy wants it recomputed: hand the engine to
-  /// make_reliable_retry() instead of finish_engine().
-  [[nodiscard]] bool wants_reliable_retry(const GmresEngine& engine) const {
-    return recovery_ == InnerRecovery::RetryReliable && !retrying_ &&
-           engine.finished() &&
-           engine.stats().status == SolveStatus::AbortedByDetector;
+  /// Record the finished engine's inner-solve bookkeeping.
+  void finish_engine(const GmresEngine& engine) {
+    record(engine.solve_index(), engine.stats());
   }
 
   /// Build the reliable recomputation of the flagged inner solve: same
   /// operands and options as the engine make_engine() last produced, but
   /// with the hook detached -- injection disabled, the paper's
-  /// selective-reliability recompute.  The aborted attempt's effort is
-  /// carried into the eventual record (finish_engine sums both attempts).
+  /// selective-reliability recompute.
   [[nodiscard]] GmresEngine make_reliable_retry(const GmresEngine& aborted);
 
-  /// True when the most recent record was flagged for the RestartOuter
-  /// policy (the driver's cue to call FgmresEngine::restart_cycle()).
-  [[nodiscard]] bool last_record_requests_outer_restart() const {
-    return !records_.empty() && records_.back().triggered_outer_restart;
-  }
-
-  [[nodiscard]] const std::vector<InnerSolveRecord>& records() const {
-    return records_;
-  }
-
 private:
-  /// The per-solve options: the configured inner options, with CGS2
-  /// re-orthogonalization swapped in for the first inner solve when
-  /// robust_first_solve is set (paper Section VII-E-1).
-  [[nodiscard]] GmresOptions options_for(std::size_t outer_index) const;
-
   [[nodiscard]] KrylovWorkspace& workspace() noexcept {
     return ws_ != nullptr ? *ws_ : fallback_ws_;
   }
 
   const LinearOperator* a_;
-  GmresOptions opts_;
   ArnoldiHook* hook_;
-  bool robust_first_solve_;
   KrylovWorkspace* ws_;
   KrylovWorkspace fallback_ws_;
-  InnerRecovery recovery_ = InnerRecovery::None;
-  std::vector<InnerSolveRecord> records_;
   // Operands of the engine make_engine() last produced, kept so
-  // make_reliable_retry can rebuild the same solve hook-free; the pending_*
-  // counters carry the aborted attempt's effort into the final record.
+  // make_reliable_retry can rebuild the same solve hook-free.
   std::span<const double> cur_q_;
   std::span<double> cur_z_;
-  std::size_t cur_outer_ = 0;
-  std::size_t pending_retry_iters_ = 0;
-  std::size_t pending_retry_applies_ = 0;
-  std::size_t pending_retry_syncs_ = 0;
-  bool retrying_ = false;
 };
 
-namespace detail {
-/// Assemble an FtGmresResult from the outer FGMRES result and the inner
-/// solve records (including the total-inner summations).  Shared by
-/// ft_gmres() and ft_gmres_batch() so the two drivers can never diverge
-/// field-wise.
-[[nodiscard]] FtGmresResult make_ft_gmres_result(
-    FgmresResult&& outer, std::vector<InnerSolveRecord> inner_solves);
-} // namespace detail
-
-/// Solve A x = b with FT-GMRES from a zero initial guess.
+/// Solve A x = b with FT-GMRES from a zero initial guess: a batch of one
+/// through the lockstep driver (defined in ft_gmres_batch.cpp).
 /// \param inner_hook observes/corrupts inner solves only; the outer
 ///        iteration is always reliable.
-/// \param ws optional reusable nested workspace (outer + inner slots);
-///        reusing one across solves of the same shape removes all heap
-///        allocation from the iteration paths (the sweep engine checks
-///        out one per worker thread).
+/// \param ws optional reusable nested workspace (outer + inner slots and
+///        the mixed-plane cache), used as the batch's single instance
+///        slot; reusing one across solves of the same shape removes all
+///        heap allocation from the iteration paths.
 [[nodiscard]] FtGmresResult ft_gmres(const LinearOperator& A,
                                      const la::Vector& b,
                                      const FtGmresOptions& opts,

@@ -1,6 +1,7 @@
 #include "krylov/ft_gmres_batch.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -85,19 +86,20 @@ struct DoublePlaneFacade {
   using Precond = InnerGmresPreconditioner;
 
   const LinearOperator* a;
-  FtGmresBatchWorkspace* w;
+  LockstepStaging* st;
 
   [[nodiscard]] const LinearOperator& inner_op() const noexcept { return *a; }
   [[nodiscard]] la::BlockWorkspace& directions() const noexcept {
-    return w->directions;
+    return st->directions;
   }
   [[nodiscard]] la::BlockWorkspace& products() const noexcept {
-    return w->products;
+    return st->products;
   }
-  [[nodiscard]] Precond make_precond(std::size_t i, const FtGmresOptions& opts,
+  [[nodiscard]] Precond make_precond(FtGmresWorkspace& slot,
+                                     const FtGmresOptions& opts,
                                      ArnoldiHook* hook) const {
     return Precond(*a, opts.inner, hook, opts.robust_first_inner,
-                   &w->instances[i].inner, opts.recovery);
+                   &slot.inner, opts.recovery);
   }
 };
 
@@ -111,54 +113,82 @@ struct MixedPlaneFacade {
   using Precond = MixedInnerGmresT<S>;
 
   MixedPlaneOf<S>* plane;
-  FtGmresBatchWorkspace* w;
+  LockstepStaging* st;
 
   [[nodiscard]] const MixedOperatorT<S>& inner_op() const noexcept {
     return plane->typed_op();
   }
   [[nodiscard]] la::BlockWorkspaceT<S>& directions() const noexcept {
     if constexpr (std::is_same_v<S, double>) {
-      return w->directions;
+      return st->directions;
     } else {
-      return w->directions_f32;
+      return st->directions_f32;
     }
   }
   [[nodiscard]] la::BlockWorkspaceT<S>& products() const noexcept {
     if constexpr (std::is_same_v<S, double>) {
-      return w->products;
+      return st->products;
     } else {
-      return w->products_f32;
+      return st->products_f32;
     }
   }
-  [[nodiscard]] Precond make_precond(std::size_t i, const FtGmresOptions& opts,
+  [[nodiscard]] Precond make_precond(FtGmresWorkspace& slot,
+                                     const FtGmresOptions& opts,
                                      ArnoldiHook* hook) const {
     return Precond(plane->typed_op(), opts.inner, hook,
-                   opts.robust_first_inner,
-                   &inner_workspace_for<S>(w->instances[i]), opts.recovery);
+                   opts.robust_first_inner, inner_workspace_for<S>(slot),
+                   opts.recovery);
   }
 };
+
+/// Assemble an FtGmresResult from the outer FGMRES result and the inner
+/// solve records (including the total-inner summations).
+FtGmresResult make_ft_gmres_result(
+    FgmresResult&& outer, const std::vector<InnerSolveRecord>& inner_solves) {
+  FtGmresResult result;
+  result.x = std::move(outer.x);
+  result.status = outer.status;
+  result.outer_iterations = outer.outer_iterations;
+  result.residual_norm = outer.residual_norm;
+  result.residual_history = std::move(outer.residual_history);
+  result.inner_solves = inner_solves;
+  result.sanitized_outputs = outer.sanitized_outputs;
+  result.outer_restarts = outer.outer_restarts;
+  result.global_syncs = outer.global_syncs;
+  for (const InnerSolveRecord& rec : result.inner_solves) {
+    result.total_inner_iterations += rec.iterations;
+    result.total_inner_applies += rec.operator_applies;
+    result.reliable_retries += rec.reliable_retries;
+    result.global_syncs += rec.global_syncs;
+  }
+  return result;
+}
 
 /// The lockstep driver, generic over the inner plane.  The outer
 /// (reliable) phase always runs in double against the original operator;
 /// only the inner phase's engines, staging, and products are typed on
-/// the plane's scalar.  Instantiated with DoublePlaneFacade this is
-/// operation-for-operation the pre-mixed-plane driver.
+/// the plane's scalar.  \p slots holds one nested workspace per
+/// instance.
 template <typename Plane>
-std::vector<FtGmresResult> ft_gmres_batch_impl(
+std::vector<FtGmresResult> ft_gmres_lockstep(
     const LinearOperator& A, const Plane& plane,
     std::span<const std::span<const double>> bs, const FtGmresOptions& opts,
-    std::span<ArnoldiHook* const> inner_hooks, FtGmresBatchWorkspace& w) {
+    std::span<ArnoldiHook* const> inner_hooks,
+    std::span<FtGmresWorkspace> slots, LockstepStaging& st) {
   using S = typename Plane::Scalar;
   const std::size_t batch = bs.size();
   std::vector<FtGmresResult> results(batch);
 
-  // Never shrink: a reused workspace keeps the warm arenas of earlier,
-  // larger batches (the monotone-reserve contract of the data plane).
-  if (w.instances.size() < batch) w.instances.resize(batch);
-  w.directions.reserve(A.cols(), batch);
-  w.products.reserve(A.rows(), batch);
-  plane.directions().reserve(A.cols(), batch);
-  plane.products().reserve(A.rows(), batch);
+  // A batch of one applies directly and never touches the staging
+  // blocks, so it allocates none.  Larger batches reserve them (never
+  // shrinking: a reused workspace keeps the warm arenas of earlier,
+  // larger batches -- the monotone-reserve contract of the data plane).
+  if (batch > 1) {
+    st.directions.reserve(A.cols(), batch);
+    st.products.reserve(A.rows(), batch);
+    plane.directions().reserve(A.cols(), batch);
+    plane.products().reserve(A.rows(), batch);
+  }
 
   // Paper protocol (same as ft_gmres): every instance starts from zero.
   const la::Vector x0(A.cols());
@@ -169,9 +199,8 @@ std::vector<FtGmresResult> ft_gmres_batch_impl(
   engines.reserve(batch);
   for (std::size_t i = 0; i < batch; ++i) {
     ArnoldiHook* hook = inner_hooks.empty() ? nullptr : inner_hooks[i];
-    inner.push_back(plane.make_precond(i, opts, hook));
-    engines.emplace_back(A, bs[i], x0.span(), opts.outer,
-                         w.instances[i].outer);
+    inner.push_back(plane.make_precond(slots[i], opts, hook));
+    engines.emplace_back(A, bs[i], x0.span(), opts.outer, slots[i].outer);
   }
 
   // `active` holds the indices of instances still iterating, in input
@@ -200,7 +229,7 @@ std::vector<FtGmresResult> ft_gmres_batch_impl(
     // dominant traffic: at the paper's 25 fixed inner iterations, ~25/26
     // of all products happen here).  Hook streams, fault campaigns,
     // detectors, and Hessenberg/QR state stay strictly per-instance, so
-    // every instance sees the exact event stream of its solo run.
+    // every instance sees the exact event stream of its batch-of-one run.
     inners.clear();
     inner_live.clear();
     for (std::size_t s = 0; s < active.size(); ++s) {
@@ -218,7 +247,7 @@ std::vector<FtGmresResult> ft_gmres_batch_impl(
                          // replaces a detector-aborted engine in place with
                          // its hook-free recompute (same operands, same
                          // lockstep slot), which simply keeps iterating in
-                         // the block.  Same turnover apply() performs solo.
+                         // the block.
                          typename Plane::Precond& p = inner[active[s]];
                          if (!p.wants_reliable_retry(inners[s])) return false;
                          inners[s] = p.make_reliable_retry(inners[s]);
@@ -249,18 +278,19 @@ std::vector<FtGmresResult> ft_gmres_batch_impl(
     // ONCE (columns are bitwise equal to per-instance apply(), so
     // packing order cannot affect any instance).  A one-instance block
     // skips the staging copies and applies directly -- the same operand
-    // and the same values, just without the detour.
+    // and the same values, just without the detour (a batch of one only
+    // ever takes this branch).
     const std::size_t cols = producing.size();
     if (cols == 1) {
       FgmresEngine& only = engines[active[producing[0]]];
       A.apply(only.direction(), only.v_target());
       if (only.advance()) alive[producing[0]] = 0;
     } else if (cols > 1) {
-      const la::BlockView zblock = w.directions.view(cols);
+      const la::BlockView zblock = st.directions.view(cols);
       for (std::size_t s = 0; s < cols; ++s) {
         la::copy(engines[active[producing[s]]].direction(), zblock.col(s));
       }
-      const la::BlockView vblock = w.products.view(cols);
+      const la::BlockView vblock = st.products.view(cols);
       A.apply_block(zblock.as_basis_view(), vblock);
 
       // --- Reliable phase, per instance: orthogonalize / project / check.
@@ -281,10 +311,37 @@ std::vector<FtGmresResult> ft_gmres_batch_impl(
 
   for (std::size_t i = 0; i < batch; ++i) {
     results[i] =
-        detail::make_ft_gmres_result(engines[i].take_result(),
-                                     inner[i].records());
+        make_ft_gmres_result(engines[i].take_result(), inner[i].records());
   }
   return results;
+}
+
+/// The one precision x index dispatch: non-default (precision,
+/// index_width) pairs run the inner lockstep phase on the narrowed
+/// mirror cached in \p plane_cache (one copy shared by all instances);
+/// the default pair never builds a mirror.
+std::vector<FtGmresResult> dispatch_lockstep(
+    const LinearOperator& A, std::span<const std::span<const double>> bs,
+    const FtGmresOptions& opts, std::span<ArnoldiHook* const> inner_hooks,
+    std::span<FtGmresWorkspace> slots, LockstepStaging& st,
+    std::shared_ptr<MixedPlaneBase>& plane_cache) {
+  if (opts.precision == Precision::Float) {
+    if (opts.index_width == IndexWidth::I32) {
+      const MixedPlaneFacade<float> plane{
+          &ensure_plane<float, std::int32_t>(plane_cache, A), &st};
+      return ft_gmres_lockstep(A, plane, bs, opts, inner_hooks, slots, st);
+    }
+    const MixedPlaneFacade<float> plane{
+        &ensure_plane<float, std::int64_t>(plane_cache, A), &st};
+    return ft_gmres_lockstep(A, plane, bs, opts, inner_hooks, slots, st);
+  }
+  if (opts.index_width == IndexWidth::I32) {
+    const MixedPlaneFacade<double> plane{
+        &ensure_plane<double, std::int32_t>(plane_cache, A), &st};
+    return ft_gmres_lockstep(A, plane, bs, opts, inner_hooks, slots, st);
+  }
+  const DoublePlaneFacade plane{&A, &st};
+  return ft_gmres_lockstep(A, plane, bs, opts, inner_hooks, slots, st);
 }
 
 } // namespace
@@ -302,26 +359,34 @@ std::vector<FtGmresResult> ft_gmres_batch(
 
   FtGmresBatchWorkspace local;
   FtGmresBatchWorkspace& w = (ws != nullptr) ? *ws : local;
-  // Non-default (precision, index_width) pairs run the inner lockstep
-  // phase on the narrowed mirror (one copy shared by all instances);
-  // the default pair never builds a mirror and is the original driver.
-  if (opts.precision == Precision::Float) {
-    if (opts.index_width == IndexWidth::I32) {
-      MixedPlaneFacade<float> plane{
-          &ensure_plane<float, std::int32_t>(w.plane, A), &w};
-      return ft_gmres_batch_impl(A, plane, bs, opts, inner_hooks, w);
-    }
-    MixedPlaneFacade<float> plane{
-        &ensure_plane<float, std::int64_t>(w.plane, A), &w};
-    return ft_gmres_batch_impl(A, plane, bs, opts, inner_hooks, w);
-  }
-  if (opts.index_width == IndexWidth::I32) {
-    MixedPlaneFacade<double> plane{
-        &ensure_plane<double, std::int32_t>(w.plane, A), &w};
-    return ft_gmres_batch_impl(A, plane, bs, opts, inner_hooks, w);
-  }
-  const DoublePlaneFacade plane{&A, &w};
-  return ft_gmres_batch_impl(A, plane, bs, opts, inner_hooks, w);
+  // Never shrink: a reused workspace keeps the warm slots of earlier,
+  // larger batches.
+  if (w.instances.size() < batch) w.instances.resize(batch);
+  return dispatch_lockstep(A, bs, opts, inner_hooks,
+                           std::span(w.instances).first(batch), w.staging,
+                           w.plane);
+}
+
+FtGmresResult ft_gmres(const LinearOperator& A, const la::Vector& b,
+                       const FtGmresOptions& opts, ArnoldiHook* inner_hook,
+                       FtGmresWorkspace* ws) {
+  // A batch of one with *ws as its single instance slot (and its plane
+  // cache); the staging blocks stay empty because nothing is ever packed.
+  FtGmresWorkspace local;
+  FtGmresWorkspace& w = (ws != nullptr) ? *ws : local;
+  LockstepStaging unused;
+  const std::span<const double> bs[] = {b.span()};
+  ArnoldiHook* const hooks[] = {inner_hook};
+  return std::move(dispatch_lockstep(A, bs, opts, hooks,
+                                     std::span(&w, 1), unused, w.plane)
+                       .front());
+}
+
+FtGmresResult ft_gmres(const sparse::CsrMatrix& A, const la::Vector& b,
+                       const FtGmresOptions& opts, ArnoldiHook* inner_hook,
+                       FtGmresWorkspace* ws) {
+  const CsrOperator op(A);
+  return ft_gmres(op, b, opts, inner_hook, ws);
 }
 
 std::vector<FtGmresResult> ft_gmres_batch(

@@ -1,13 +1,14 @@
 #pragma once
 /// \file ft_gmres_batch.hpp
-/// \brief Multi-RHS FT-GMRES: B independent nested solves in lockstep.
+/// \brief The FT-GMRES driver: B independent nested solves in lockstep.
 ///
 /// The paper's headline experiment runs thousands of independent FT-GMRES
-/// solves of the SAME matrix (one per injection site).  Run solo, every
-/// operator product pays a full matrix stream; run B solves in lockstep,
-/// the B products of each step fuse into ONE apply_block/SpMM that
-/// streams the matrix once, cutting the matrix traffic to ~1/B (see
-/// CsrMatrix::spmm).  Both nesting levels advance in lockstep:
+/// solves of the SAME matrix (one per injection site).  Run one at a
+/// time, every operator product pays a full matrix stream; run B solves
+/// in lockstep, the B products of each step fuse into ONE
+/// apply_block/SpMM that streams the matrix once, cutting the matrix
+/// traffic to ~1/B (see CsrMatrix::spmm).  Both nesting levels advance in
+/// lockstep:
 ///
 ///   * the OUTER iteration interleaves B krylov::FgmresEngine instances
 ///     (one fused product per outer iteration), and
@@ -18,19 +19,22 @@
 ///     all products happen inside the inner solves, so this is where the
 ///     batching win actually lives.
 ///
+/// This is the only FT-GMRES loop: krylov::ft_gmres() is a batch of one.
+/// With one live instance the fused products degenerate to direct
+/// apply() calls (no staging copies), and the staging blocks are only
+/// reserved for batches of two or more.
+///
 /// Determinism contract: every instance advances through EXACTLY the
-/// floating-point operation sequence of its solo krylov::ft_gmres run --
-/// both nesting levels run the same step-driveable engines the solo path
-/// drives, the fused products' columns are bitwise equal to per-column
-/// apply(), and instances share no mutable state.  Inner hook streams
-/// (fault campaigns, detectors), Hessenberg/QR factorizations, and
-/// records stay strictly per-instance.  An instance that terminates
-/// early -- at either level: a detector-aborted or broken-down inner
-/// solve, a converged/rank-deficient/spent outer -- simply drops out of
-/// its block; the survivors' packed columns are unchanged values, so
-/// their iterate streams are unperturbed.  This is what lets the
-/// injection sweep assert batch=B results are bitwise identical to
-/// batch=1.
+/// floating-point operation sequence of its batch-of-one run -- the
+/// fused products' columns are bitwise equal to per-column apply(), and
+/// instances share no mutable state.  Inner hook streams (fault
+/// campaigns, detectors), Hessenberg/QR factorizations, and records stay
+/// strictly per-instance.  An instance that terminates early -- at either
+/// level: a detector-aborted or broken-down inner solve, a
+/// converged/rank-deficient/spent outer -- simply drops out of its block;
+/// the survivors' packed columns are unchanged values, so their iterate
+/// streams are unperturbed.  This is what lets the injection sweep assert
+/// batch=B results are bitwise identical to batch=1.
 
 #include <cstddef>
 #include <memory>
@@ -44,13 +48,9 @@
 
 namespace sdcgmres::krylov {
 
-/// Reusable storage for one batch driver (NOT shareable between
-/// threads): one nested per-instance workspace slot plus the two staging
-/// blocks of the fused operator application.  Like the scalar
-/// workspaces, a driver that solved a (shape, batch) once re-solves it
-/// with no heap allocation on the iteration path.
-struct FtGmresBatchWorkspace {
-  std::vector<FtGmresWorkspace> instances; ///< one per lockstep instance
+/// The staging blocks of the fused operator applications.  Only batches
+/// of two or more reserve them; a batch of one applies directly.
+struct LockstepStaging {
   la::BlockWorkspace directions; ///< packed live operand columns (SpMM
                                  ///< operand; outer Z directions and inner
                                  ///< iterates/directions take turns -- the
@@ -61,6 +61,16 @@ struct FtGmresBatchWorkspace {
   /// paths, where the inner phase shares directions/products above).
   la::BlockWorkspaceT<float> directions_f32;
   la::BlockWorkspaceT<float> products_f32;
+};
+
+/// Reusable storage for one batch driver (NOT shareable between
+/// threads): one nested per-instance workspace slot plus the staging
+/// blocks of the fused operator application.  Like the scalar
+/// workspaces, a driver that solved a (shape, batch) once re-solves it
+/// with no heap allocation on the iteration path.
+struct FtGmresBatchWorkspace {
+  std::vector<FtGmresWorkspace> instances; ///< one per lockstep instance
+  LockstepStaging staging;
   /// Narrowed-mirror cache shared by every lockstep instance for
   /// non-default precision/index configurations (the mirror is
   /// read-only during applies and its counters are atomic, so one copy
@@ -71,7 +81,8 @@ struct FtGmresBatchWorkspace {
 /// Solve A x_i = b_i for every right-hand side in \p bs with FT-GMRES
 /// from zero initial guesses, advancing all instances in lockstep (one
 /// fused operator application per outer iteration).  Results arrive in
-/// input order and are bitwise identical to ft_gmres() run per rhs.
+/// input order and are bitwise identical to ft_gmres() (a batch of one)
+/// run per rhs.
 ///
 /// \param inner_hooks per-instance hooks observing/corrupting the
 ///        unreliable inner solves (the sweep engine passes one fault

@@ -326,7 +326,7 @@ bool step_with_apply(const LinearOperator& A, GmresEngine& engine);
 
 /// Drive \p engine to completion with solo operator applications -- the
 /// canonical straight-through loop (shown in the GmresEngine docs),
-/// shared by gmres_in_place() and the solo FT-GMRES inner-solve path so
+/// shared by gmres_in_place() and InnerGmresPreconditioner::apply() so
 /// the protocol exists exactly once.
 void drive_to_completion(const LinearOperator& A, GmresEngine& engine);
 

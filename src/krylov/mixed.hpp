@@ -26,7 +26,7 @@
 ///     with scalar_bytes/index_bytes computed at sizeof(S)/sizeof(I).
 ///   * MixedInnerGmresT<S>: the mixed mirror of
 ///     InnerGmresPreconditioner -- same make_engine/finish_engine batch
-///     seam, same records, same recovery turnover -- that down-converts
+///     seam, same InnerSolveLedger bookkeeping -- that down-converts
 ///     the outer residual column on entry and up-converts the inner
 ///     correction on exit.  It drives any MixedOperatorT<S>, so one
 ///     instantiation serves every storage format and index width.  For
@@ -34,8 +34,8 @@
 ///     bitwise exact, so (double, int32) results are bit-identical to
 ///     the default path: indices never enter the arithmetic.
 ///
-/// step_with_apply_t / drive_to_completion_t generalize the gmres.hpp
-/// drivers over any operator exposing apply(span<const S>, span<S>).
+/// step_with_apply_t generalizes the gmres.hpp step driver over any
+/// operator exposing apply(span<const S>, span<S>).
 
 #include <cstddef>
 #include <memory>
@@ -203,14 +203,6 @@ inline bool step_with_apply_t(const Op& A, GmresEngineT<S>& engine) {
   return engine.advance();
 }
 
-/// Drive an S-typed engine to completion (generic form of
-/// drive_to_completion()).
-template <typename Op, typename S>
-inline void drive_to_completion_t(const Op& A, GmresEngineT<S>& engine) {
-  while (!step_with_apply_t(A, engine)) {
-  }
-}
-
 /// The mixed-plane mirror of InnerGmresPreconditioner: each application
 /// approximately solves A z = q at the plane's precision from a zero
 /// initial guess.  The outer residual column q is down-converted into
@@ -218,92 +210,42 @@ inline void drive_to_completion_t(const Op& A, GmresEngineT<S>& engine) {
 /// up-converted into the outer Z-arena column on exit (finish_engine);
 /// with S = double both conversions are bitwise copies, so the
 /// (double, int32) configuration reproduces the default path bit for
-/// bit.  Identical make_engine/finish_engine batch seam, records,
-/// options plumbing (robust first inner via CGS2), and recovery
-/// turnover as the double preconditioner, so the solo and lockstep
-/// drivers can never diverge from their reliable counterparts in
-/// bookkeeping.
+/// bit.  Same make_engine/finish_engine seam as the double
+/// preconditioner, and the same InnerSolveLedger bookkeeping (options,
+/// records, recovery turnover).
 template <typename S>
-class MixedInnerGmresT {
+class MixedInnerGmresT : public InnerSolveLedger {
 public:
   MixedInnerGmresT(const MixedOperatorT<S>& A, const GmresOptions& opts,
-                   ArnoldiHook* hook = nullptr,
-                   bool robust_first_solve = false,
-                   KrylovWorkspaceT<S>* ws = nullptr,
-                   InnerRecovery recovery = InnerRecovery::None)
-      : a_(&A), opts_(opts), hook_(hook),
-        robust_first_solve_(robust_first_solve), ws_(ws),
-        recovery_(recovery) {}
+                   ArnoldiHook* hook, bool robust_first_solve,
+                   KrylovWorkspaceT<S>& ws, InnerRecovery recovery)
+      : InnerSolveLedger(opts, robust_first_solve, recovery), a_(&A),
+        hook_(hook), ws_(&ws) {}
 
-  /// Straight-through drive (the solo FT-GMRES path), including the
-  /// RetryReliable turnover -- mirrors InnerGmresPreconditioner::apply.
-  void apply(std::span<const double> q, std::size_t outer_index,
-             std::span<double> z) {
-    GmresEngineT<S> engine = make_engine(q, outer_index, z);
-    drive_to_completion_t(*a_, engine);
-    if (wants_reliable_retry(engine)) {
-      GmresEngineT<S> retry = make_reliable_retry(engine);
-      drive_to_completion_t(*a_, retry);
-      finish_engine(retry);
-      return;
-    }
-    finish_engine(engine);
-  }
-
-  /// Batch seam: stage q down to the plane's scalar, zero the staged
-  /// iterate, and construct the step-driveable S-typed engine.  The
-  /// caller drives it (solo or interleaved) and hands it to
-  /// finish_engine(), which up-converts the correction into \p z.
+  /// Stage q down to the plane's scalar, zero the staged iterate, and
+  /// construct the step-driveable S-typed engine.  The caller drives it
+  /// and hands it to finish_engine(), which up-converts the correction
+  /// into \p z.
   [[nodiscard]] GmresEngineT<S> make_engine(std::span<const double> q,
                                             std::size_t outer_index,
                                             std::span<double> z) {
     cur_z_ = z;
-    cur_outer_ = outer_index;
-    retrying_ = false;
-    pending_retry_iters_ = 0;
-    pending_retry_applies_ = 0;
-    pending_retry_syncs_ = 0;
+    const GmresOptions opts = begin_solve(outer_index);
     q_staged_.resize(q.size());
     z_staged_.resize(z.size());
     narrow_into<S>(q, q_staged_.span());
     std::fill(z_staged_.span().begin(), z_staged_.span().end(), S(0));
     return GmresEngineT<S>(a_->rows(), a_->cols(),
                            std::span<const S>(q_staged_.span()),
-                           z_staged_.span(), options_for(outer_index), hook_,
-                           outer_index, workspace(),
+                           z_staged_.span(), opts, hook_, outer_index, *ws_,
                            /*residual_history=*/nullptr);
   }
 
   /// Up-convert the finished engine's correction into the outer Z-arena
-  /// column and record its bookkeeping (exactly the record the reliable
-  /// preconditioner produces).
+  /// column and record its bookkeeping.
   void finish_engine(const GmresEngineT<S>& engine) {
     widen_into<S>(z_staged_.span(), cur_z_);
-    const GmresStats& inner = engine.stats();
-    InnerSolveRecord rec{.outer_index = engine.solve_index(),
-                         .status = inner.status,
-                         .iterations =
-                             pending_retry_iters_ + inner.iterations,
-                         .operator_applies =
-                             pending_retry_applies_ + inner.operator_applies,
-                         .residual_norm = inner.residual_norm};
-    rec.global_syncs = pending_retry_syncs_ + inner.global_syncs;
-    rec.reliable_retries = retrying_ ? 1 : 0;
-    rec.triggered_outer_restart =
-        recovery_ == InnerRecovery::RestartOuter &&
-        inner.status == SolveStatus::AbortedByDetector;
-    records_.push_back(rec);
-    retrying_ = false;
-    pending_retry_iters_ = 0;
-    pending_retry_applies_ = 0;
-    pending_retry_syncs_ = 0;
-  }
-
-  [[nodiscard]] bool wants_reliable_retry(
-      const GmresEngineT<S>& engine) const {
-    return recovery_ == InnerRecovery::RetryReliable && !retrying_ &&
-           engine.finished() &&
-           engine.stats().status == SolveStatus::AbortedByDetector;
+    record(engine.solve_index(), engine.stats());
   }
 
   /// Hook-free recompute of the flagged inner solve on the same staged
@@ -312,58 +254,25 @@ public:
   /// a fault).
   [[nodiscard]] GmresEngineT<S> make_reliable_retry(
       const GmresEngineT<S>& aborted) {
-    pending_retry_iters_ = aborted.stats().iterations;
-    pending_retry_applies_ = aborted.stats().operator_applies;
-    pending_retry_syncs_ = aborted.stats().global_syncs;
-    retrying_ = true;
+    const GmresOptions opts = begin_retry(aborted.stats());
     std::fill(z_staged_.span().begin(), z_staged_.span().end(), S(0));
     return GmresEngineT<S>(a_->rows(), a_->cols(),
                            std::span<const S>(q_staged_.span()),
-                           z_staged_.span(), options_for(cur_outer_),
-                           /*hook=*/nullptr, cur_outer_, workspace(),
+                           z_staged_.span(), opts, /*hook=*/nullptr,
+                           current_outer(), *ws_,
                            /*residual_history=*/nullptr);
   }
 
-  [[nodiscard]] bool last_record_requests_outer_restart() const {
-    return !records_.empty() && records_.back().triggered_outer_restart;
-  }
-
-  [[nodiscard]] const std::vector<InnerSolveRecord>& records() const {
-    return records_;
-  }
-
 private:
-  [[nodiscard]] GmresOptions options_for(std::size_t outer_index) const {
-    GmresOptions opts = opts_;
-    if (robust_first_solve_ && outer_index == 0) {
-      opts.ortho = Orthogonalization::CGS2;
-    }
-    return opts;
-  }
-
-  [[nodiscard]] KrylovWorkspaceT<S>& workspace() noexcept {
-    return ws_ != nullptr ? *ws_ : fallback_ws_;
-  }
-
   const MixedOperatorT<S>* a_;
-  GmresOptions opts_;
   ArnoldiHook* hook_;
-  bool robust_first_solve_;
   KrylovWorkspaceT<S>* ws_;
-  KrylovWorkspaceT<S> fallback_ws_;
-  InnerRecovery recovery_ = InnerRecovery::None;
-  std::vector<InnerSolveRecord> records_;
   // Per-instance staging of the engine operands at the plane's scalar
   // (stable storage: live engines hold spans into these), plus the
   // outer-side column the correction widens back into.
   la::VectorT<S> q_staged_;
   la::VectorT<S> z_staged_;
   std::span<double> cur_z_;
-  std::size_t cur_outer_ = 0;
-  std::size_t pending_retry_iters_ = 0;
-  std::size_t pending_retry_applies_ = 0;
-  std::size_t pending_retry_syncs_ = 0;
-  bool retrying_ = false;
 };
 
 } // namespace sdcgmres::krylov

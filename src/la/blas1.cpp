@@ -1,9 +1,15 @@
 #include "la/blas1.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace sdcgmres::la {
 
@@ -28,19 +34,113 @@ void require_same_size(std::span<const double> x, std::span<const double> y,
   }
 }
 
+template <typename S>
+void require_same_size_t(std::span<const S> x, std::span<const S> y,
+                         const char* what) {
+  if (x.size() != y.size()) {
+    throw std::invalid_argument(std::string("la::") + what +
+                                ": span size mismatch");
+  }
+}
+
+// Sums run in one thread at or below this length.
+constexpr std::int64_t kParallelMin = 4096;
+
+// Sums keep one partial per thread in a fixed-size array, so their team is
+// capped at this many threads.
+constexpr int kMaxPartials = 64;
+
+int sum_team() {
+#ifdef _OPENMP
+  return std::min(omp_get_max_threads(), kMaxPartials);
+#else
+  return 1;
+#endif
+}
+
+int thread_id() {
+#ifdef _OPENMP
+  return omp_get_thread_num();
+#else
+  return 0;
+#endif
+}
+
+// Sum of term(i) over [0, n).  An OpenMP reduction clause adds the
+// per-thread partials in the order the threads arrive, so two calls on the
+// same data could differ in the last bit.  Here each thread sums its static
+// chunk in index order and the partials are added in thread order: the
+// result depends only on the data and the team size, and a team of one is
+// the plain serial loop.
+template <typename S, typename Term>
+S ordered_sum(std::int64_t n, Term term) {
+  std::array<S, kMaxPartials> partial{};
+#pragma omp parallel num_threads(sum_team()) if (n > kParallelMin)
+  {
+    S part = S(0);
+#pragma omp for schedule(static) nowait
+    for (std::int64_t i = 0; i < n; ++i) {
+      part += term(i);
+    }
+    partial[static_cast<std::size_t>(thread_id())] = part;
+  }
+  S sum = S(0);
+  for (const S p : partial) sum += p;
+  return sum;
+}
+
+template <typename S>
+S dot_t(std::span<const S> x, std::span<const S> y) {
+  require_same_size_t<S>(x, y, "dot");
+  const S* px = x.data();
+  const S* py = y.data();
+  return ordered_sum<S>(static_cast<std::int64_t>(x.size()),
+                        [=](std::int64_t i) { return px[i] * py[i]; });
+}
+
+// The dot is summed exactly as in ordered_sum (same static chunks, same
+// thread-order combination), so the coefficient is bitwise equal to dot_t's.
+template <typename S>
+S dot_axpy_impl_t(std::span<const S> x, std::span<S> y,
+                  const std::function<void(S&)>* adjust) {
+  require_same_size_t<S>(x, std::span<const S>(y), "dot_axpy");
+  const auto n = static_cast<std::int64_t>(x.size());
+  const S* px = x.data();
+  S* py = y.data();
+  std::array<S, kMaxPartials> partial{};
+  S h = S(0);
+#pragma omp parallel num_threads(sum_team()) if (n > kParallelMin) \
+    default(shared)
+  {
+    S part = S(0);
+#pragma omp for schedule(static) nowait
+    for (std::int64_t i = 0; i < n; ++i) {
+      part += px[i] * py[i];
+    }
+    partial[static_cast<std::size_t>(thread_id())] = part;
+#pragma omp barrier
+    // The hook point runs exactly once, between the dot and the
+    // correction, and may mutate h.
+#pragma omp single
+    {
+      for (const S p : partial) h += p;
+      if (adjust != nullptr) (*adjust)(h);
+    }
+    // Private copy: h is shared in the outlined region, and a shared
+    // variable read inside the loop defeats register allocation.
+    const S hh = h;
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < n; ++i) {
+      py[i] -= hh * px[i];
+    }
+  }
+  return h;
+}
+
 } // namespace
 
 double dot(std::span<const double> x, std::span<const double> y) {
-  require_same_size(x, y, "dot");
-  double sum = 0.0;
-  const auto n = static_cast<std::int64_t>(x.size());
-  const double* px = x.data();
-  const double* py = y.data();
-#pragma omp parallel for reduction(+ : sum) schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    sum += px[i] * py[i];
-  }
-  return sum;
+  return dot_t<double>(x, y);
 }
 
 double nrm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
@@ -117,108 +217,19 @@ std::size_t count_nonfinite(std::span<const double> x) {
   return static_cast<std::size_t>(bad);
 }
 
-namespace {
-
-double dot_axpy_impl(std::span<const double> x, std::span<double> y,
-                     const std::function<void(double&)>* adjust) {
-  require_same_size(x, std::span<const double>(y), "dot_axpy");
-  const auto n = static_cast<std::int64_t>(x.size());
-  const double* px = x.data();
-  double* py = y.data();
-  double h = 0.0;
-#pragma omp parallel if (n > 4096) default(shared)
-  {
-#pragma omp for reduction(+ : h) schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) {
-      h += px[i] * py[i];
-    }
-    // The reduction is complete at the barrier above; the hook point runs
-    // exactly once, between the dot and the correction, and may mutate h.
-#pragma omp single
-    {
-      if (adjust != nullptr) (*adjust)(h);
-    }
-    // Private copy: h is shared in the outlined region, and a shared
-    // variable read inside the loop defeats register allocation.
-    const double hh = h;
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) {
-      py[i] -= hh * px[i];
-    }
-  }
-  return h;
-}
-
-} // namespace
-
 double dot_axpy(std::span<const double> x, std::span<double> y) {
-  return dot_axpy_impl(x, y, nullptr);
+  return dot_axpy_impl_t<double>(x, y, nullptr);
 }
 
 double dot_axpy(std::span<const double> x, std::span<double> y,
                 const std::function<void(double&)>& adjust) {
-  return dot_axpy_impl(x, y, &adjust);
+  return dot_axpy_impl_t<double>(x, y, &adjust);
 }
 
 // --- Float kernels ----------------------------------------------------------
 //
-// Same loops, thresholds, and summation order as the double kernels above,
-// instantiated for float.  Kept as a generic implementation block so a
-// future half-precision plane is a one-line instantiation.
-
-namespace {
-
-template <typename S>
-void require_same_size_t(std::span<const S> x, std::span<const S> y,
-                         const char* what) {
-  if (x.size() != y.size()) {
-    throw std::invalid_argument(std::string("la::") + what +
-                                ": span size mismatch");
-  }
-}
-
-template <typename S>
-S dot_t(std::span<const S> x, std::span<const S> y) {
-  require_same_size_t<S>(x, y, "dot");
-  S sum = S(0);
-  const auto n = static_cast<std::int64_t>(x.size());
-  const S* px = x.data();
-  const S* py = y.data();
-#pragma omp parallel for reduction(+ : sum) schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    sum += px[i] * py[i];
-  }
-  return sum;
-}
-
-template <typename S>
-S dot_axpy_impl_t(std::span<const S> x, std::span<S> y,
-                  const std::function<void(S&)>* adjust) {
-  require_same_size_t<S>(x, std::span<const S>(y), "dot_axpy");
-  const auto n = static_cast<std::int64_t>(x.size());
-  const S* px = x.data();
-  S* py = y.data();
-  S h = S(0);
-#pragma omp parallel if (n > 4096) default(shared)
-  {
-#pragma omp for reduction(+ : h) schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) {
-      h += px[i] * py[i];
-    }
-#pragma omp single
-    {
-      if (adjust != nullptr) (*adjust)(h);
-    }
-    const S hh = h;
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) {
-      py[i] -= hh * px[i];
-    }
-  }
-  return h;
-}
-
-} // namespace
+// Same loops, thresholds, and summation order as the double kernels above;
+// the sums share the templates at the top of this file.
 
 float dot(std::span<const float> x, std::span<const float> y) {
   return dot_t<float>(x, y);
@@ -302,13 +313,9 @@ double dot(const Vector& x, const Vector& y) {
 double nrm2(const Vector& x) { return std::sqrt(dot(x, x)); }
 
 double nrm1(const Vector& x) {
-  double sum = 0.0;
-  const std::int64_t n = ssize(x);
-#pragma omp parallel for reduction(+ : sum) schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    sum += std::abs(x[static_cast<std::size_t>(i)]);
-  }
-  return sum;
+  const double* px = x.data();
+  return ordered_sum<double>(ssize(x),
+                             [=](std::int64_t i) { return std::abs(px[i]); });
 }
 
 double nrminf(const Vector& x) {
@@ -322,53 +329,32 @@ double nrminf(const Vector& x) {
   return best;
 }
 
+// The element-wise Vector overloads check (or size) their operands and
+// forward to the span kernels above, so both forms are one loop.
+
 void axpy(double alpha, const Vector& x, Vector& y) {
   require_same_size(x, y, "axpy");
-  const std::int64_t n = ssize(x);
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    y[static_cast<std::size_t>(i)] += alpha * x[static_cast<std::size_t>(i)];
-  }
+  axpy(alpha, x.span(), y.span());
 }
 
 void waxpby(double alpha, const Vector& x, double beta, const Vector& y,
             Vector& w) {
   require_same_size(x, y, "waxpby");
   if (w.size() != x.size()) w.resize(x.size());
-  const std::int64_t n = ssize(x);
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto k = static_cast<std::size_t>(i);
-    w[k] = alpha * x[k] + beta * y[k];
-  }
+  waxpby(alpha, x.span(), beta, y.span(), w.span());
 }
 
-void scal(double alpha, Vector& x) {
-  const std::int64_t n = ssize(x);
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    x[static_cast<std::size_t>(i)] *= alpha;
-  }
-}
+void scal(double alpha, Vector& x) { scal(alpha, x.span()); }
 
 void copy(const Vector& x, Vector& y) {
   if (y.size() != x.size()) y.resize(x.size());
-  const std::int64_t n = ssize(x);
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    y[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
-  }
+  copy(x.span(), y.span());
 }
 
 void hadamard(const Vector& x, const Vector& y, Vector& z) {
   require_same_size(x, y, "hadamard");
   if (z.size() != x.size()) z.resize(x.size());
-  const std::int64_t n = ssize(x);
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto k = static_cast<std::size_t>(i);
-    z[k] = x[k] * y[k];
-  }
+  hadamard(x.span(), y.span(), z.span());
 }
 
 bool all_finite(const Vector& x) { return count_nonfinite(x.span()) == 0; }

@@ -28,8 +28,10 @@ namespace sdcgmres::la {
 // points share one implementation (and one summation order: results are
 // bitwise identical between the two).
 
-/// Euclidean inner product over spans (sequential accumulation order,
-/// identical to the Vector overload).
+/// Euclidean inner product over spans (identical to the Vector overload).
+/// Above 4096 entries each OpenMP thread sums a static chunk and the
+/// partials are added in thread order, so repeated calls on the same data
+/// and thread count return the same bits.
 [[nodiscard]] double dot(std::span<const double> x, std::span<const double> y);
 
 /// 2-norm of a span.
@@ -60,12 +62,10 @@ void hadamard(std::span<const double> x, std::span<const double> y,
 
 /// Fused MGS step: computes h = x.y, then y := y - h*x, in one kernel
 /// (single parallel region; one fork/join instead of two, and x is hot in
-/// cache for the correction).  The dot uses the same loop and reduction as
-/// dot(), so in serial execution (or below the parallel threshold) the
-/// returned coefficient is bitwise identical to the unfused dot+axpy
-/// sequence; with multiple OpenMP threads, separate reductions may combine
-/// partials in different orders, so agreement is to reduction roundoff.
-/// Returns h.
+/// cache for the correction).  The dot uses the same static chunks and the
+/// same thread-order combination of partials as dot(), so the returned
+/// coefficient is bitwise identical to the unfused dot+axpy sequence at any
+/// fixed thread count.  Returns h.
 double dot_axpy(std::span<const double> x, std::span<double> y);
 
 /// Instrumented variant: \p adjust runs once with the freshly computed

@@ -218,8 +218,6 @@ SolveReport FgmresSolver::solve(std::span<const double> b,
 
 namespace {
 
-/// The one FtGmresResult -> SolveReport translation, shared by the solo
-/// and batched adapters so their reports can never diverge field-wise.
 SolveReport report_from_ft_result(krylov::FtGmresResult res) {
   SolveReport r;
   r.status = res.status;
@@ -249,64 +247,35 @@ FtGmresSolver::FtGmresSolver(const krylov::LinearOperator& A,
 SolveReport FtGmresSolver::solve(std::span<const double> b,
                                  std::span<double> x) {
   check_sizes(*this, b, x);
-  copy_in(b, b_scratch_);
-  krylov::FtGmresResult res =
-      krylov::ft_gmres(*a_, b_scratch_, opts_, hook_, &ws_);
-  copy_out(res.x, x);
-  return report_from_ft_result(std::move(res));
-}
-
-krylov::OperatorStats FtGmresSolver::mixed_stats() const noexcept {
-  return ws_.plane != nullptr ? ws_.plane->stats() : krylov::OperatorStats{};
-}
-
-// ---------------------------------------------------------------------------
-// BatchedFtGmresSolver
-// ---------------------------------------------------------------------------
-
-BatchedFtGmresSolver::BatchedFtGmresSolver(const krylov::LinearOperator& A,
-                                           const Options& opts)
-    : a_(&A), opts_(to_ft_gmres_options(opts)) {}
-
-BatchedFtGmresSolver::BatchedFtGmresSolver(const krylov::LinearOperator& A,
-                                           const krylov::FtGmresOptions& opts)
-    : a_(&A), opts_(opts) {}
-
-SolveReport BatchedFtGmresSolver::solve(std::span<const double> b,
-                                        std::span<double> x) {
-  check_sizes(*this, b, x);
-  // A batch of one: the engine walks the exact ft_gmres operation
-  // sequence and the one-column apply_block is bitwise equal to apply(),
-  // so this report matches FtGmresSolver::solve exactly.
   const std::span<const double> bs[] = {b};
   krylov::ArnoldiHook* hooks[] = {hook_};
   std::vector<krylov::FtGmresResult> res =
       krylov::ft_gmres_batch(*a_, bs, opts_, hooks, &ws_);
-  std::copy(res[0].x.data(), res[0].x.data() + res[0].x.size(), x.begin());
+  copy_out(res[0].x, x);
   return report_from_ft_result(std::move(res[0]));
 }
 
-std::vector<SolveReport> BatchedFtGmresSolver::solve_batch(
+std::vector<SolveReport> FtGmresSolver::solve_batch(
     std::span<const std::span<const double>> bs,
     std::span<const std::span<double>> xs,
     std::span<krylov::ArnoldiHook* const> inner_hooks) {
+  const std::string who(name());
   if (hook_ != nullptr && inner_hooks.empty()) {
     // Same philosophy as IterativeSolver::set_hook on a hookless solver:
     // silently dropping an installed fault campaign/detector would
     // misattribute experiment results.  Batch hooks are per-instance.
     throw std::invalid_argument(
-        "ft_gmres_batch: a hook installed via set_hook() does not apply to "
-        "solve_batch(); pass one (possibly null) hook per instance in "
-        "inner_hooks instead");
+        who + ": a hook installed via set_hook() does not apply to "
+              "solve_batch(); pass one (possibly null) hook per instance in "
+              "inner_hooks instead");
   }
   if (bs.size() != xs.size()) {
-    throw std::invalid_argument(
-        "ft_gmres_batch: bs and xs must match in size");
+    throw std::invalid_argument(who + ": bs and xs must match in size");
   }
   for (std::size_t i = 0; i < bs.size(); ++i) {
     if (bs[i].size() != dimension() || xs[i].size() != dimension()) {
       throw std::invalid_argument(
-          "ft_gmres_batch: every b/x span must have size dimension()");
+          who + ": every b/x span must have size dimension()");
     }
   }
   std::vector<krylov::FtGmresResult> res =
@@ -314,14 +283,13 @@ std::vector<SolveReport> BatchedFtGmresSolver::solve_batch(
   std::vector<SolveReport> reports;
   reports.reserve(res.size());
   for (std::size_t i = 0; i < res.size(); ++i) {
-    std::copy(res[i].x.data(), res[i].x.data() + res[i].x.size(),
-              xs[i].begin());
+    copy_out(res[i].x, xs[i]);
     reports.push_back(report_from_ft_result(std::move(res[i])));
   }
   return reports;
 }
 
-krylov::OperatorStats BatchedFtGmresSolver::mixed_stats() const noexcept {
+krylov::OperatorStats FtGmresSolver::mixed_stats() const noexcept {
   return ws_.plane != nullptr ? ws_.plane->stats() : krylov::OperatorStats{};
 }
 

@@ -267,7 +267,14 @@ private:
 /// FT-GMRES: reliable FGMRES outer + unreliable fixed-effort GMRES inner
 /// (the paper's nested solver).  The hook seam observes/corrupts the
 /// inner solves only.
-class FtGmresSolver final : public IterativeSolver {
+///
+/// One façade over the one lockstep driver (krylov::ft_gmres_batch):
+/// solve() runs a batch of one, and solve_batch() advances B independent
+/// nested solves in lockstep so the B operator applications of each step
+/// fuse into one apply_block/SpMM.  Every instance's iterate stream is
+/// bitwise identical to its solve() run; instances that terminate early
+/// drop out of the block without perturbing the others.
+class FtGmresSolver : public IterativeSolver {
 public:
   explicit FtGmresSolver(const krylov::LinearOperator& A,
                          const Options& opts = {});
@@ -278,51 +285,6 @@ public:
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "ft_gmres";
-  }
-  [[nodiscard]] std::size_t dimension() const noexcept override {
-    return a_->rows();
-  }
-  using IterativeSolver::solve;
-  SolveReport solve(std::span<const double> b, std::span<double> x) override;
-  [[nodiscard]] bool supports_hooks() const noexcept override { return true; }
-  void set_hook(krylov::ArnoldiHook* hook) override { hook_ = hook; }
-  void release_workspace() override { ws_ = {}; }
-
-  /// Traffic counters of the narrowed inner-plane mirror (zero when the
-  /// configuration is the default double/int64 -- no mirror exists).
-  /// The original operator's own stats() keep counting the reliable
-  /// outer products; totals are the sum of both.
-  [[nodiscard]] krylov::OperatorStats mixed_stats() const noexcept;
-
-private:
-  const krylov::LinearOperator* a_;
-  krylov::FtGmresOptions opts_;
-  krylov::ArnoldiHook* hook_ = nullptr;
-  krylov::FtGmresWorkspace ws_;
-  la::Vector b_scratch_;
-};
-
-/// Multi-RHS FT-GMRES (registry key "ft_gmres_batch"): B independent
-/// nested solves advanced in lockstep so the B reliable-phase operator
-/// applications of each outer iteration fuse into one apply_block/SpMM
-/// (krylov::ft_gmres_batch).  Every instance's iterate stream is bitwise
-/// identical to its FtGmresSolver solo run; instances that terminate
-/// early drop out of the block without perturbing the others.
-///
-/// The single-rhs IterativeSolver::solve() runs a batch of one (also
-/// bitwise identical to FtGmresSolver), so the solver is a drop-in
-/// registry citizen; the batch entry point is solve_batch().
-class BatchedFtGmresSolver final : public IterativeSolver {
-public:
-  explicit BatchedFtGmresSolver(const krylov::LinearOperator& A,
-                                const Options& opts = {});
-  /// Adapter over an already-translated native options struct (the sweep
-  /// engine's path: SweepConfig carries krylov::FtGmresOptions).
-  BatchedFtGmresSolver(const krylov::LinearOperator& A,
-                       const krylov::FtGmresOptions& opts);
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "ft_gmres_batch";
   }
   [[nodiscard]] std::size_t dimension() const noexcept override {
     return a_->rows();
@@ -347,8 +309,10 @@ public:
       std::span<const std::span<double>> xs,
       std::span<krylov::ArnoldiHook* const> inner_hooks = {});
 
-  /// Traffic counters of the narrowed inner-plane mirror shared by the
-  /// batch (zero on the default double/int64 configuration).
+  /// Traffic counters of the narrowed inner-plane mirror (zero when the
+  /// configuration is the default double/int64 -- no mirror exists).
+  /// The original operator's own stats() keep counting the reliable
+  /// outer products; totals are the sum of both.
   [[nodiscard]] krylov::OperatorStats mixed_stats() const noexcept;
 
 private:
@@ -356,6 +320,17 @@ private:
   krylov::FtGmresOptions opts_;
   krylov::ArnoldiHook* hook_ = nullptr;
   krylov::FtGmresBatchWorkspace ws_;
+};
+
+/// Registry key "ft_gmres_batch": the same solver under the name a
+/// scenario uses to ask for lockstep batching.
+class BatchedFtGmresSolver final : public FtGmresSolver {
+public:
+  using FtGmresSolver::FtGmresSolver;
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "ft_gmres_batch";
+  }
 };
 
 /// Conjugate Gradient (the SPD baseline).

@@ -1,7 +1,8 @@
 /// \file krylov_mixed_precision_test.cpp
 /// \brief The mixed-precision inner data plane of FT-GMRES: (double,
 /// int32) bitwise identity with the default, the float-inner convergence
-/// envelope on the paper's Figure-3 scenario grid, spec-key validation,
+/// envelope on the paper's Figure-3 scenario grid, detector-triggered
+/// recovery on the float/int32 plane in lockstep, spec-key validation,
 /// non-CSR rejection, and the bytes-streamed accounting of the mirror.
 ///
 /// Envelope contract (documented here, asserted below): a float32 inner
@@ -25,16 +26,21 @@
 #include "gen/poisson.hpp"
 #include "krylov/ft_gmres.hpp"
 #include "krylov/ft_gmres_batch.hpp"
+#include "krylov/hooks.hpp"
 #include "krylov/mixed.hpp"
 #include "krylov/operator.hpp"
 #include "la/blas1.hpp"
 #include "la/vector.hpp"
+#include "sdc/detector.hpp"
+#include "sdc/fault_model.hpp"
+#include "sdc/injection.hpp"
 
 namespace krylov = sdcgmres::krylov;
 namespace experiment = sdcgmres::experiment;
 namespace sparse = sdcgmres::sparse;
 namespace gen = sdcgmres::gen;
 namespace la = sdcgmres::la;
+namespace sdc = sdcgmres::sdc;
 
 namespace {
 
@@ -52,6 +58,90 @@ krylov::FtGmresOptions paper_options() {
   opts.outer.tol = 1e-8;
   opts.outer.max_outer = 200;
   return opts;
+}
+
+/// Every field of a lockstep instance must equal its own single solve,
+/// the vectors and norms bitwise.
+void expect_bitwise(const krylov::FtGmresResult& got,
+                    const krylov::FtGmresResult& want, std::size_t instance) {
+  SCOPED_TRACE(instance);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.outer_iterations, want.outer_iterations);
+  EXPECT_EQ(got.total_inner_iterations, want.total_inner_iterations);
+  EXPECT_EQ(got.total_inner_applies, want.total_inner_applies);
+  EXPECT_EQ(got.reliable_retries, want.reliable_retries);
+  EXPECT_EQ(got.outer_restarts, want.outer_restarts);
+  EXPECT_EQ(got.global_syncs, want.global_syncs);
+  EXPECT_EQ(got.residual_norm, want.residual_norm);
+  ASSERT_EQ(got.x.size(), want.x.size());
+  for (std::size_t i = 0; i < got.x.size(); ++i) {
+    ASSERT_EQ(got.x[i], want.x[i]) << "x[" << i << "]";
+  }
+  ASSERT_EQ(got.residual_history, want.residual_history);
+  ASSERT_EQ(got.inner_solves.size(), want.inner_solves.size());
+  for (std::size_t k = 0; k < got.inner_solves.size(); ++k) {
+    const krylov::InnerSolveRecord& g = got.inner_solves[k];
+    const krylov::InnerSolveRecord& w = want.inner_solves[k];
+    EXPECT_EQ(g.status, w.status) << k;
+    EXPECT_EQ(g.iterations, w.iterations) << k;
+    EXPECT_EQ(g.operator_applies, w.operator_applies) << k;
+    EXPECT_EQ(g.residual_norm, w.residual_norm) << k;
+    EXPECT_EQ(g.reliable_retries, w.reliable_retries) << k;
+    EXPECT_EQ(g.triggered_outer_restart, w.triggered_outer_restart) << k;
+    EXPECT_EQ(g.global_syncs, w.global_syncs) << k;
+  }
+}
+
+/// A class-1 fault at inner iteration 5 plus a bound detector carrying
+/// \p response: the detector fires mid-way through the first inner
+/// solve, i.e. in the middle of a lockstep inner block.
+struct FlaggedHook {
+  FlaggedHook(double bound, sdc::DetectorResponse response)
+      : campaign(sdc::InjectionPlan::hessenberg(
+            5, sdc::MgsPosition::First, sdc::FaultModel::scale(1e150))),
+        detector(bound, response), chain({&campaign, &detector}) {}
+  sdc::FaultCampaign campaign;
+  sdc::HessenbergBoundDetector detector;
+  krylov::HookChain chain;
+};
+
+/// Mixed-plane recovery in lockstep: a float32/int32 batch of 3 in which
+/// only instance 1 carries the flagged hook.  Every instance must be
+/// bitwise equal to its own single ft_gmres solve, and the flagged
+/// instance's records must show the recovery that ran.
+std::vector<krylov::FtGmresResult> run_flagged_float_batch(
+    krylov::InnerRecovery recovery, sdc::DetectorResponse response) {
+  const auto A = gen::poisson2d(10);
+  const krylov::CsrOperator op(A);
+  auto opts = paper_options();
+  opts.inner.max_iters = 8;
+  opts.precision = krylov::Precision::Float;
+  opts.index_width = krylov::IndexWidth::I32;
+  opts.recovery = recovery;
+  const double bound = A.frobenius_norm();
+  std::vector<la::Vector> bs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    la::Vector b(A.rows());
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      b[j] = 1.0 + 0.01 * static_cast<double>((i + j) % 7);
+    }
+    bs.push_back(std::move(b));
+  }
+
+  FlaggedHook flagged(bound, response);
+  std::vector<krylov::ArnoldiHook*> hooks(bs.size(), nullptr);
+  hooks[1] = &flagged.chain;
+  krylov::FtGmresBatchWorkspace ws;
+  auto batch = krylov::ft_gmres_batch(op, bs, opts, hooks, &ws);
+  EXPECT_TRUE(flagged.detector.triggered());
+
+  for (std::size_t i = 0; i < bs.size(); ++i) {
+    FlaggedHook own(bound, response);
+    const auto single = krylov::ft_gmres(op, bs[i], opts,
+                                         i == 1 ? &own.chain : nullptr);
+    expect_bitwise(batch[i], single, i);
+  }
+  return batch;
 }
 
 } // namespace
@@ -148,6 +238,30 @@ TEST(MixedPrecisionFtGmres, FloatInnerConvergesWithinEnvelopeOnFig3Grid) {
           << cell.name;
     }
   }
+}
+
+TEST(MixedPrecisionFtGmres, FloatRetryReliableInLockstepMatchesSingleSolves) {
+  const auto batch = run_flagged_float_batch(
+      krylov::InnerRecovery::RetryReliable,
+      sdc::DetectorResponse::RetryReliable);
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[1].reliable_retries, 1u);
+  EXPECT_EQ(batch[1].inner_solves.front().reliable_retries, 1u);
+  EXPECT_EQ(batch[0].reliable_retries, 0u);
+  EXPECT_EQ(batch[2].reliable_retries, 0u);
+  EXPECT_EQ(batch[1].status, krylov::SolveStatus::Converged);
+}
+
+TEST(MixedPrecisionFtGmres, FloatRestartOuterInLockstepMatchesSingleSolves) {
+  const auto batch = run_flagged_float_batch(
+      krylov::InnerRecovery::RestartOuter,
+      sdc::DetectorResponse::RestartOuter);
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_TRUE(batch[1].inner_solves.front().triggered_outer_restart);
+  EXPECT_EQ(batch[1].outer_restarts, 1u);
+  EXPECT_EQ(batch[0].outer_restarts, 0u);
+  EXPECT_EQ(batch[2].outer_restarts, 0u);
+  EXPECT_EQ(batch[1].status, krylov::SolveStatus::Converged);
 }
 
 TEST(MixedPrecisionFtGmres, FloatInnerRequiresCsrBackedOperator) {
