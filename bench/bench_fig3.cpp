@@ -125,24 +125,22 @@ int sweep_timing(const sparse::CsrMatrix& A, const la::Vector& b,
   const double t_f32_batched =
       run_timed(A, b, mixed_config, 1, batch, f32_batched);
 
-  const auto same = [&serial](const experiment::SweepResult& other) {
-    return serial.points == other.points &&
-           serial.baseline_outer == other.baseline_outer &&
-           serial.baseline_total_inner == other.baseline_total_inner;
-  };
-  const bool identical = same(parallel) && same(batched_serial) &&
-                         same(batched) && same(d32_batched);
+  const bool identical = serial.identical_results(parallel) &&
+                         serial.identical_results(batched_serial) &&
+                         serial.identical_results(batched) &&
+                         serial.identical_results(d32_batched);
 
   // Measured operator traffic per leg (krylov::OperatorStats, summed over
   // each leg's sweep workers).  The operand-column count is the WORK and
   // is identical in every mode; the stream count is the matrix passes
   // PAID for that work -- the batched legs divide it by ~batch, and
   // that reduction is the whole point of the lockstep engine.  The
-  // inner/outer split comes from the per-point inner_applies counters
+  // inner/outer split comes from the per-point operator_applies counters
   // (mode-independent): at inner=25 the inner solves own ~25/26 of the
   // columns, which is why inner-level lockstep matters.
   const std::size_t columns = serial.operator_stats.columns();
   const std::size_t inner_columns = serial.inner_operand_columns();
+  const experiment::SweepTally serial_tally = serial.tally();
   const std::size_t serial_streams = serial.operator_stats.streams();
   const std::size_t batched_streams = batched_serial.operator_stats.streams();
 
@@ -261,12 +259,13 @@ int sweep_timing(const sparse::CsrMatrix& A, const la::Vector& b,
        << "  \"mixed\": {\n"
        << "    \"d32_batched_seconds\": " << t_d32_batched << ",\n"
        << "    \"d32_identical\": "
-       << (same(d32_batched) ? "true" : "false") << ",\n"
+       << (serial.identical_results(d32_batched) ? "true" : "false")
+       << ",\n"
        << "    \"float_serial_seconds\": " << t_f32_serial << ",\n"
        << "    \"float_batched_seconds\": " << t_f32_batched << ",\n"
        << "    \"float_baseline_outer\": " << f32_serial.baseline_outer
        << ",\n"
-       << "    \"float_failed_runs\": " << f32_serial.failed_runs() << ",\n"
+       << "    \"float_failed_runs\": " << f32_serial.tally().failed << ",\n"
        << "    \"float_max_outer_increase\": "
        << f32_serial.max_outer_increase() << "\n  },\n"
        // Global-reduction accounting (the s-step axis): counts are
@@ -294,12 +293,14 @@ int sweep_timing(const sparse::CsrMatrix& A, const la::Vector& b,
        // mode).  This trace runs no detector and no guards, so nonzero
        // counters here flag a determinism bug, not a slow machine.
        << "  \"guard\": {\n"
-       << "    \"diverged\": " << serial.diverged_runs() << ",\n"
-       << "    \"deadline_exceeded\": " << serial.deadline_exceeded_runs()
+       << "    \"diverged\": " << serial_tally.diverged << ",\n"
+       << "    \"deadline_exceeded\": " << serial_tally.deadline_exceeded
        << "\n  },\n"
        << "  \"recovery\": {\n"
-       << "    \"retried_reliable\": " << serial.retried_reliable() << ",\n"
-       << "    \"restarted_outer\": " << serial.restarted_outer() << "\n  },\n"
+       << "    \"retried_reliable\": " << serial_tally.reliable_retries
+       << ",\n"
+       << "    \"restarted_outer\": " << serial_tally.outer_restarts
+       << "\n  },\n"
        << "  \"identical_results\": " << (identical ? "true" : "false") << "\n"
        << "}\n";
   std::cout << json.str();

@@ -17,7 +17,7 @@
 ///
 ///   # the same sweep guarded by the |h| <= ||A||_F detector, 2 workers
 ///   sdc_run matrix=poisson n=40 inner=25 sweep=1 fault=class1 \
-///           detector=bound response=abort threads=2
+///           detector=bound recovery=abort threads=2
 ///
 ///   # 2 workers, each solving 4 injection sites in lockstep (multi-RHS
 ///   # FT-GMRES: one matrix stream per outer iteration per block)
@@ -193,11 +193,7 @@ int main(int argc, char** argv) {
       serial.set("resume", "0");
       const experiment::SweepResult reference =
           experiment::run_injection_sweep(serial);
-      identical =
-          reference.points == result.sweep.points &&
-          reference.baseline_outer == result.sweep.baseline_outer &&
-          reference.baseline_total_inner == result.sweep.baseline_total_inner &&
-          reference.baseline_global_syncs == result.sweep.baseline_global_syncs;
+      identical = reference.identical_results(result.sweep);
       std::cout << "identical_results (threads=" << spec.get("threads", "1")
                 << " batch=" << spec.get("batch", "1") << " workers="
                 << spec.get("workers", "1")

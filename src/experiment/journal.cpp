@@ -82,6 +82,22 @@ std::string format_header(const SweepJournalHeader& h) {
   return line;
 }
 
+/// A point's counters in journal order: one key per member, walked by
+/// format_point and parse_point alike.
+struct PointCounterKey {
+  const char* key;
+  std::size_t SweepPoint::*member;
+  bool since_v2; ///< absent from version-1 journals
+};
+constexpr PointCounterKey kPointCounters[] = {
+    {"sanitized", &SweepPoint::sanitized_outputs, false},
+    {"inner_applies", &SweepPoint::operator_applies, false},
+    {"inner_diverged", &SweepPoint::inner_diverged, false},
+    {"retries", &SweepPoint::reliable_retries, false},
+    {"restarts", &SweepPoint::outer_restarts, false},
+    {"syncs", &SweepPoint::global_syncs, true},
+};
+
 std::string format_point(std::size_t index, const SweepPoint& p) {
   std::string line = "{\"type\":\"point\"";
   put_u64(line, "index", index);
@@ -91,12 +107,9 @@ std::string format_point(std::size_t index, const SweepPoint& p) {
   put_bool(line, "converged", p.converged);
   put_bool(line, "injected", p.injected);
   put_bool(line, "detected", p.detected);
-  put_u64(line, "sanitized", p.sanitized_outputs);
-  put_u64(line, "inner_applies", p.inner_applies);
-  put_u64(line, "inner_diverged", p.inner_diverged);
-  put_u64(line, "retries", p.reliable_retries);
-  put_u64(line, "restarts", p.outer_restarts);
-  put_u64(line, "syncs", p.global_syncs);
+  for (const PointCounterKey& c : kPointCounters) {
+    put_u64(line, c.key, p.*c.member);
+  }
   put_u64(line, "residual_bits", double_bits(p.residual_norm));
   line += "}\n";
   return line;
@@ -200,19 +213,15 @@ bool parse_point(const std::string& line, std::size_t& index, SweepPoint& p) {
   if (!get_bool(line, "converged", p.converged)) return false;
   if (!get_bool(line, "injected", p.injected)) return false;
   if (!get_bool(line, "detected", p.detected)) return false;
-  if (!get_u64(line, "sanitized", u)) return false;
-  p.sanitized_outputs = static_cast<std::size_t>(u);
-  if (!get_u64(line, "inner_applies", u)) return false;
-  p.inner_applies = static_cast<std::size_t>(u);
-  if (!get_u64(line, "inner_diverged", u)) return false;
-  p.inner_diverged = static_cast<std::size_t>(u);
-  if (!get_u64(line, "retries", u)) return false;
-  p.reliable_retries = static_cast<std::size_t>(u);
-  if (!get_u64(line, "restarts", u)) return false;
-  p.outer_restarts = static_cast<std::size_t>(u);
-  // "syncs" arrived with header version 2; leave a version-1 point's count
-  // at zero so the header mismatch (not a parse error) reports the problem.
-  if (get_u64(line, "syncs", u)) p.global_syncs = static_cast<std::size_t>(u);
+  for (const PointCounterKey& c : kPointCounters) {
+    if (get_u64(line, c.key, u)) {
+      p.*c.member = static_cast<std::size_t>(u);
+    } else if (!c.since_v2) {
+      // A version-1 point leaves the newer counters at zero, so the
+      // header mismatch (not a parse error) reports the problem.
+      return false;
+    }
+  }
   if (!get_u64(line, "residual_bits", u)) return false;
   p.residual_norm = bits_double(u);
   return true;
@@ -397,6 +406,19 @@ void SweepJournal::flush() {
 // Tailing: the journal as a progress stream
 // ---------------------------------------------------------------------------
 
+SweepProgress& SweepProgress::operator+=(const SweepProgress& part) {
+  if (!part.started) return *this;
+  if (!started) header = part.header;
+  started = true;
+  tally += part.tally;
+  if (part.has_stats) {
+    has_stats = true;
+    stats.points_done += part.stats.points_done;
+    stats.traffic += part.stats.traffic;
+  }
+  return *this;
+}
+
 SweepProgress tail_sweep_journal(const std::string& path) {
   const SweepJournalContents contents = SweepJournal::load(path);
   SweepProgress progress;
@@ -406,25 +428,13 @@ SweepProgress tail_sweep_journal(const std::string& path) {
   progress.stats = contents.stats;
 
   // Re-queued shard ranges may journal a point twice; the LAST occurrence
-  // is what a resume would keep, so count and aggregate by unique index
-  // with last-wins (mirroring run_injection_sweep's resume path).
+  // is what a resume would keep, so tally by unique index with last-wins
+  // (mirroring run_injection_sweep's resume path).
   std::map<std::size_t, const SweepPoint*> latest;
   for (const auto& [index, point] : contents.points) {
     latest[index] = &point;
   }
-  progress.points_done = latest.size();
-  for (const auto& [index, p] : latest) {
-    if (!p->converged) ++progress.failed;
-    if (p->detected) ++progress.detected;
-    if (p->status == krylov::SolveStatus::Diverged || p->inner_diverged > 0) {
-      ++progress.diverged;
-    }
-    if (p->status == krylov::SolveStatus::DeadlineExceeded) {
-      ++progress.deadline_exceeded;
-    }
-    progress.reliable_retries += p->reliable_retries;
-    progress.outer_restarts += p->outer_restarts;
-  }
+  for (const auto& [index, p] : latest) progress.tally.add(*p);
   return progress;
 }
 

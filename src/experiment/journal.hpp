@@ -83,23 +83,21 @@ struct SweepJournalContents {
 
 /// Live progress view of a (possibly still-growing, possibly absent)
 /// journal: the journal IS the job's progress stream, and this is the
-/// tail.  points_done counts UNIQUE point indexes (re-queued ranges may
-/// journal a point twice); the outcome counters aggregate over those
-/// points exactly like the SweepResult accessors will once the sweep
-/// finishes.  A missing journal file reports zero progress (the job has
-/// not started solving), matching load().
+/// tail.  The tally counts UNIQUE point indexes (re-queued ranges may
+/// journal a point twice), so it equals SweepResult::tally() once the
+/// sweep finishes.  A missing journal file reports zero progress (the job
+/// has not started solving), matching load().
 struct SweepProgress {
   bool started = false; ///< the journal exists and has a header
   SweepJournalHeader header;
-  std::size_t points_done = 0;
-  std::size_t failed = 0;            ///< points that did not converge
-  std::size_t detected = 0;          ///< points whose detector fired
-  std::size_t diverged = 0;          ///< divergence-guard trips
-  std::size_t deadline_exceeded = 0; ///< deadline-guard trips
-  std::size_t reliable_retries = 0;  ///< recovery: inner solves re-run
-  std::size_t outer_restarts = 0;    ///< recovery: outer cycles restarted
+  SweepTally tally;
   bool has_stats = false;
   SweepRunningStats stats; ///< latest cumulative traffic counters
+
+  /// Fold in the tail of another range journal of the same sharded sweep
+  /// (the ranges partition the point set, so tallies and traffic sum
+  /// without overlap).  A part that has not started is skipped.
+  SweepProgress& operator+=(const SweepProgress& part);
 };
 
 /// Tail \p path: load the journal (tolerating the in-flight tail a live

@@ -126,23 +126,21 @@ void write_sweep_csv(std::ostream& out, const SweepResult& sweep) {
 
 void print_sweep_summary(std::ostream& out, const std::string& title,
                          const SweepResult& sweep) {
+  const SweepTally t = sweep.tally();
   out << std::left << std::setw(56) << title << " baseline="
       << sweep.baseline_outer << " max_increase=" << sweep.max_outer_increase()
       << " unchanged=" << sweep.unchanged_runs() << "/" << sweep.points.size()
-      << " failed=" << sweep.failed_runs()
-      << " detected=" << sweep.detected_runs();
+      << " failed=" << t.failed << " detected=" << t.detected;
   // Guard and recovery activity is exceptional: only clutter the line
   // when a run actually diverged, overran its deadline, or recovered.
-  if (sweep.diverged_runs() > 0) out << " diverged=" << sweep.diverged_runs();
-  if (sweep.deadline_exceeded_runs() > 0) {
-    out << " deadline_exceeded=" << sweep.deadline_exceeded_runs();
+  if (t.diverged > 0) out << " diverged=" << t.diverged;
+  if (t.deadline_exceeded > 0) {
+    out << " deadline_exceeded=" << t.deadline_exceeded;
   }
-  if (sweep.retried_reliable() > 0) {
-    out << " retried_reliable=" << sweep.retried_reliable();
+  if (t.reliable_retries > 0) {
+    out << " retried_reliable=" << t.reliable_retries;
   }
-  if (sweep.restarted_outer() > 0) {
-    out << " restarted_outer=" << sweep.restarted_outer();
-  }
+  if (t.outer_restarts > 0) out << " restarted_outer=" << t.outer_restarts;
   out << '\n';
 }
 
@@ -176,26 +174,26 @@ void write_sweep_json(std::ostream& out, const ScenarioResult& r,
     out << "  \"backend_decision\": \"" << json_escape(r.backend_decision)
         << "\",\n";
   }
+  const SweepTally t = r.sweep.tally();
   out << "  \"baseline_outer\": " << r.sweep.baseline_outer << ",\n"
       << "  \"sites\": " << r.sweep.points.size() << ",\n"
       << "  \"max_outer_increase\": " << r.sweep.max_outer_increase() << ",\n"
       << "  \"unchanged_runs\": " << r.sweep.unchanged_runs() << ",\n"
-      << "  \"failed_runs\": " << r.sweep.failed_runs() << ",\n"
-      << "  \"detected_runs\": " << r.sweep.detected_runs() << ",\n"
+      << "  \"failed_runs\": " << t.failed << ",\n"
+      << "  \"detected_runs\": " << t.detected << ",\n"
       // Measured operator traffic: columns is the work (identical at any
       // threads/batch), streams the matrix passes paid for it (divided by
       // ~batch when sites run in lockstep).
       << "  \"matrix_streams\": " << r.sweep.operator_stats.streams() << ",\n"
       << "  \"operand_columns\": " << r.sweep.operator_stats.columns() << ",\n"
-      << "  \"inner_operand_columns\": " << r.sweep.inner_operand_columns()
-      << ",\n"
+      << "  \"inner_operand_columns\": " << t.operator_applies << ",\n"
       // Global reductions: the synchronization axis of the s-step mode.
       // Per-solve counts are mode-independent (same at any threads/batch);
       // the baseline figure is the failure-free per-solve reference to
       // compare across s= settings.
       << "  \"baseline_global_syncs\": " << r.sweep.baseline_global_syncs
       << ",\n"
-      << "  \"global_syncs\": " << r.sweep.total_global_syncs() << ",\n"
+      << "  \"global_syncs\": " << t.global_syncs << ",\n"
       // Bytes actually streamed for those passes, split scalar (matrix
       // values + operand/result columns) vs index (row_ptr + col_idx),
       // each at the executing plane's own width -- this is where a
@@ -208,12 +206,11 @@ void write_sweep_json(std::ostream& out, const ScenarioResult& r,
       // the sweep (zero everywhere unless deadline=/divergence=/recovery=
       // are in play).
       << "  \"guard\": {\n"
-      << "    \"diverged\": " << r.sweep.diverged_runs() << ",\n"
-      << "    \"deadline_exceeded\": " << r.sweep.deadline_exceeded_runs()
-      << "\n  },\n"
+      << "    \"diverged\": " << t.diverged << ",\n"
+      << "    \"deadline_exceeded\": " << t.deadline_exceeded << "\n  },\n"
       << "  \"recovery\": {\n"
-      << "    \"retried_reliable\": " << r.sweep.retried_reliable() << ",\n"
-      << "    \"restarted_outer\": " << r.sweep.restarted_outer() << "\n  }";
+      << "    \"retried_reliable\": " << t.reliable_retries << ",\n"
+      << "    \"restarted_outer\": " << t.outer_restarts << "\n  }";
   if (r.sharded) {
     out << ",\n  \"shard\": {\n"
         << "    \"ranges\": " << r.shard.ranges << ",\n"

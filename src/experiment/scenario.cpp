@@ -74,6 +74,11 @@ sdc::InjectionTarget parse_fault_target(const ScenarioSpec& spec,
 } // namespace
 
 void validate_scenario_keys(const ScenarioSpec& spec) {
+  if (spec.has("response")) {
+    throw std::invalid_argument(
+        "ScenarioSpec: the 'response' key was removed; use recovery=" +
+        spec.get("response") + " (same modes)");
+  }
   spec.require_keys_in({
       // problem
       "solver", "matrix", "n", "nodes", "path", "seed", "eps_x", "eps_y",
@@ -86,7 +91,7 @@ void validate_scenario_keys(const ScenarioSpec& spec) {
       "s",
       // fault + detector + recovery
       "fault", "fault_target", "element", "position", "site", "detector",
-      "bound", "response", "recovery",
+      "bound", "recovery",
       // solve guards
       "deadline", "divergence",
       // sweep
@@ -300,7 +305,7 @@ SweepConfig sweep_config_from_spec(const ScenarioSpec& spec,
   if (detector != "none") {
     // Build one detector to validate the spec and to resolve bound and
     // response exactly as the registry does (inline arg wins over the
-    // `response` key); the sweep engine constructs per-site instances.
+    // `recovery` key); the sweep engine constructs per-site instances.
     const auto probe =
         solver::detector_registry().make(detector, frobenius_norm, spec);
     if (probe == nullptr) {

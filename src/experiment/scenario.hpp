@@ -41,7 +41,7 @@
 ///   site       aggregate inner iteration of the single planned fault
 ///              (single-solve mode; default 0)
 ///   detector   none|bound[:<recovery>]              (default none)
-///   bound      auto|<number>  response  record|abort (legacy response key)
+///   bound      auto|<number>
 ///   recovery   none|record|abort|retry_reliable|restart_outer -- what a
 ///              firing detector does to the solve (default abort; needs
 ///              detector=bound)

@@ -8,7 +8,7 @@
 /// whitespace-separated `key=value` tokens:
 ///
 ///   solver=ft_gmres matrix=poisson n=40 inner=25 fault=class1
-///   position=first detector=bound response=abort sweep=1 threads=2
+///   position=first detector=bound recovery=abort sweep=1 threads=2
 ///
 /// The same parser backs the `sdc_run` example CLI, the spec-driven
 /// `experiment::run_injection_sweep` overload, and the shared bench flag

@@ -119,14 +119,7 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
   // region: no helper threads exist when we fork below.)
   const std::unique_ptr<krylov::LinearOperator> baseline_op =
       cfg.backend->make_operator(A);
-  const krylov::FtGmresResult baseline =
-      run_baseline(*baseline_op, b, config.solver);
-  result.baseline_outer = baseline.outer_iterations;
-  result.baseline_total_inner = baseline.total_inner_iterations;
-  result.baseline_converged =
-      baseline.status == krylov::SolveStatus::Converged ||
-      baseline.status == krylov::SolveStatus::HappyBreakdown;
-  result.baseline_global_syncs = baseline.global_syncs;
+  result.set_baseline(run_baseline(*baseline_op, b, config.solver));
 
   std::size_t last_site = result.baseline_total_inner;
   if (config.site_limit > 0) last_site = std::min(last_site, config.site_limit);

@@ -38,55 +38,45 @@ std::size_t SweepResult::unchanged_runs() const {
       }));
 }
 
-std::size_t SweepResult::failed_runs() const {
-  return static_cast<std::size_t>(std::count_if(
-      points.begin(), points.end(),
-      [](const SweepPoint& p) { return !p.converged; }));
+void SweepTally::add(const SweepPoint& p) {
+  ++points;
+  if (!p.converged) ++failed;
+  if (p.detected) ++detected;
+  if (p.status == krylov::SolveStatus::Diverged || p.inner_diverged > 0) {
+    ++diverged;
+  }
+  if (p.status == krylov::SolveStatus::DeadlineExceeded) ++deadline_exceeded;
+  krylov::SolveCounters::operator+=(p);
 }
 
-std::size_t SweepResult::detected_runs() const {
-  return static_cast<std::size_t>(std::count_if(
-      points.begin(), points.end(),
-      [](const SweepPoint& p) { return p.detected; }));
+SweepTally& SweepTally::operator+=(const SweepTally& o) {
+  krylov::SolveCounters::operator+=(o);
+  points += o.points;
+  failed += o.failed;
+  detected += o.detected;
+  diverged += o.diverged;
+  deadline_exceeded += o.deadline_exceeded;
+  return *this;
 }
 
-std::size_t SweepResult::inner_operand_columns() const {
-  std::size_t total = 0;
-  for (const SweepPoint& p : points) total += p.inner_applies;
-  return total;
+void SweepResult::set_baseline(const krylov::FtGmresResult& baseline) {
+  baseline_outer = baseline.outer_iterations;
+  baseline_total_inner = baseline.total_inner_iterations;
+  baseline_converged = krylov::is_success(baseline.status);
+  baseline_global_syncs = baseline.global_syncs;
 }
 
-std::size_t SweepResult::diverged_runs() const {
-  return static_cast<std::size_t>(
-      std::count_if(points.begin(), points.end(), [](const SweepPoint& p) {
-        return p.status == krylov::SolveStatus::Diverged ||
-               p.inner_diverged > 0;
-      }));
+bool SweepResult::identical_results(const SweepResult& o) const {
+  return points == o.points && baseline_outer == o.baseline_outer &&
+         baseline_total_inner == o.baseline_total_inner &&
+         baseline_converged == o.baseline_converged &&
+         baseline_global_syncs == o.baseline_global_syncs;
 }
 
-std::size_t SweepResult::deadline_exceeded_runs() const {
-  return static_cast<std::size_t>(
-      std::count_if(points.begin(), points.end(), [](const SweepPoint& p) {
-        return p.status == krylov::SolveStatus::DeadlineExceeded;
-      }));
-}
-
-std::size_t SweepResult::retried_reliable() const {
-  std::size_t total = 0;
-  for (const SweepPoint& p : points) total += p.reliable_retries;
-  return total;
-}
-
-std::size_t SweepResult::restarted_outer() const {
-  std::size_t total = 0;
-  for (const SweepPoint& p : points) total += p.outer_restarts;
-  return total;
-}
-
-std::size_t SweepResult::total_global_syncs() const {
-  std::size_t total = 0;
-  for (const SweepPoint& p : points) total += p.global_syncs;
-  return total;
+SweepTally SweepResult::tally() const {
+  SweepTally t;
+  for (const SweepPoint& p : points) t.add(p);
+  return t;
 }
 
 namespace {
@@ -138,21 +128,17 @@ SweepPoint make_sweep_point(const solver::SolveReport& run, std::size_t site,
                             const sdc::FaultCampaign& campaign,
                             const sdc::HessenbergBoundDetector* detector) {
   SweepPoint point;
+  static_cast<krylov::SolveCounters&>(point) = run;
   point.aggregate_iteration = site;
   point.outer_iterations = run.iterations;
   point.converged = run.converged();
   point.injected = campaign.fired();
   point.detected = detector != nullptr && detector->triggered();
-  point.sanitized_outputs = run.sanitized_outputs;
-  point.inner_applies = run.total_inner_applies;
   point.residual_norm = run.residual_norm;
   point.status = run.status;
   for (const krylov::InnerSolveRecord& rec : run.inner_solves) {
     if (rec.status == krylov::SolveStatus::Diverged) ++point.inner_diverged;
   }
-  point.reliable_retries = run.reliable_retries;
-  point.outer_restarts = run.outer_restarts;
-  point.global_syncs = run.global_syncs;
   return point;
 }
 
@@ -282,14 +268,7 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
   // --- Failure-free baseline: learns the injection-site count. ---
   const std::unique_ptr<krylov::LinearOperator> baseline_op =
       backend->make_operator(A);
-  const krylov::FtGmresResult baseline =
-      run_baseline(*baseline_op, b, cfg.solver);
-  result.baseline_outer = baseline.outer_iterations;
-  result.baseline_total_inner = baseline.total_inner_iterations;
-  result.baseline_converged =
-      baseline.status == krylov::SolveStatus::Converged ||
-      baseline.status == krylov::SolveStatus::HappyBreakdown;
-  result.baseline_global_syncs = baseline.global_syncs;
+  result.set_baseline(run_baseline(*baseline_op, b, cfg.solver));
 
   // --- One faulty solve per (sampled) injection site. ---
   std::size_t last_site = result.baseline_total_inner;

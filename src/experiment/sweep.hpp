@@ -15,6 +15,7 @@
 
 #include "experiment/scenario_spec.hpp"
 #include "krylov/backend.hpp"
+#include "krylov/counters.hpp"
 #include "krylov/ft_gmres.hpp"
 #include "la/vector.hpp"
 #include "sdc/detector.hpp"
@@ -118,23 +119,17 @@ struct SweepConfig {
                                     ///< serialized, never concurrent)
 };
 
-/// Outcome of one faulty solve.
-struct SweepPoint {
+/// Outcome of one faulty solve.  The counters (krylov/counters.hpp) are
+/// the nested solve's; operator_applies counts its inner solves' products
+/// -- the work, identical at every threads/batch setting, unlike the
+/// matrix STREAMS paid for it (see SweepResult::operator_stats).
+struct SweepPoint : krylov::SolveCounters {
   std::size_t aggregate_iteration = 0; ///< injection site
   std::size_t outer_iterations = 0;    ///< outer iterations to convergence
   bool converged = false;
   bool injected = false;  ///< the fault actually fired (it may not, e.g.
                           ///< when the perturbed run ends sooner)
   bool detected = false;  ///< detector flagged the fault
-  std::size_t sanitized_outputs = 0; ///< inner results the reliable outer
-                                     ///< phase had to filter (Inf/NaN/zero)
-  std::size_t inner_applies = 0; ///< operator products the run's inner
-                                 ///< solves consumed -- a property of the
-                                 ///< per-instance operation sequence, so
-                                 ///< identical at every threads/batch
-                                 ///< setting (unlike the matrix STREAMS
-                                 ///< paid for them: see
-                                 ///< SweepResult::operator_stats)
   double residual_norm = 0.0; ///< explicit final residual
   krylov::SolveStatus status = krylov::SolveStatus::MaxIterations;
                           ///< the outer solve's terminal state (converged
@@ -142,18 +137,26 @@ struct SweepPoint {
                           ///< mean a solve guard fired)
   std::size_t inner_diverged = 0; ///< inner solves the residual-explosion
                           ///< guard stopped (status Diverged)
-  std::size_t reliable_retries = 0; ///< inner solves recomputed reliably
-                          ///< (recovery retry_reliable)
-  std::size_t outer_restarts = 0;   ///< outer cycles restarted (recovery
-                          ///< restart_outer)
-  std::size_t global_syncs = 0; ///< global reductions the run consumed
-                          ///< (outer + every inner solve) -- like
-                          ///< inner_applies a property of the per-instance
-                          ///< operation sequence, identical at every
-                          ///< threads/batch setting; the s-step inner mode
-                          ///< (s= key) is what shrinks it
 
   bool operator==(const SweepPoint&) const = default;
+};
+
+/// Outcome tallies over a set of sweep points: the one aggregation behind
+/// SweepResult::tally(), the journal tail (SweepProgress) and the
+/// service's shard merge.  The SolveCounters base sums the points'
+/// counters (operator_applies = inner operand columns).
+struct SweepTally : krylov::SolveCounters {
+  std::size_t points = 0;
+  std::size_t failed = 0;            ///< points that did not converge
+  std::size_t detected = 0;          ///< points whose detector fired
+  std::size_t diverged = 0;          ///< divergence-guard trips (outer
+                                     ///< status Diverged or any inner
+                                     ///< solve stopped Diverged)
+  std::size_t deadline_exceeded = 0; ///< deadline-guard trips
+
+  void add(const SweepPoint& p);
+  SweepTally& operator+=(const SweepTally& o);
+  bool operator==(const SweepTally&) const = default;
 };
 
 /// Result of a full sweep.
@@ -172,41 +175,39 @@ struct SweepResult {
   /// mode-independent (same work at any threads/batch); streams() is
   /// NOT -- lockstep batching divides it by ~batch, which is exactly the
   /// number this field exists to show -- so operator_stats is not part
-  /// of the sweep determinism contract and the identity assertions
-  /// compare points and baseline fields only.
+  /// of the sweep determinism contract (see identical_results).
   krylov::OperatorStats operator_stats;
 
-  /// Sum of the points' inner_applies: operand columns consumed by the
-  /// unreliable inner solves (mode-independent; at the paper's inner=25
-  /// this is ~25/26 of columns()).
-  [[nodiscard]] std::size_t inner_operand_columns() const;
+  /// Fill the baseline fields from the failure-free solve.
+  void set_baseline(const krylov::FtGmresResult& baseline);
 
-  /// Sum of the points' global_syncs (mode-independent, like
-  /// inner_operand_columns).
-  [[nodiscard]] std::size_t total_global_syncs() const;
+  /// The sweep determinism contract: same points and same baseline
+  /// fields.  A threaded, batched, sharded or resumed sweep must be
+  /// identical_results to the serial batch-of-one run; operator_stats is
+  /// excluded (streams depend on the batch size).
+  [[nodiscard]] bool identical_results(const SweepResult& o) const;
+
+  /// Outcome tallies over the points.
+  [[nodiscard]] SweepTally tally() const;
+
+  /// Sum of the points' operator_applies: operand columns consumed by
+  /// the unreliable inner solves (at the paper's inner=25 this is ~25/26
+  /// of operator_stats.columns()).
+  [[nodiscard]] std::size_t inner_operand_columns() const {
+    return tally().operator_applies;
+  }
+  /// Sum of the points' global_syncs.
+  [[nodiscard]] std::size_t total_global_syncs() const {
+    return tally().global_syncs;
+  }
+  /// Number of runs where the detector fired.
+  [[nodiscard]] std::size_t detected_runs() const { return tally().detected; }
 
   /// Largest outer-iteration increase over the baseline (0 when all runs
   /// match the failure-free count).
   [[nodiscard]] std::size_t max_outer_increase() const;
-  /// Number of runs with no increase in outer iterations.
+  /// Number of converged runs with no increase in outer iterations.
   [[nodiscard]] std::size_t unchanged_runs() const;
-  /// Number of runs that failed to converge.
-  [[nodiscard]] std::size_t failed_runs() const;
-  /// Number of runs where the detector fired.
-  [[nodiscard]] std::size_t detected_runs() const;
-
-  // --- solve-guard counters ---
-  /// Runs where the residual-explosion guard fired (outer status Diverged
-  /// or at least one inner solve stopped Diverged).
-  [[nodiscard]] std::size_t diverged_runs() const;
-  /// Runs the wall-clock deadline guard stopped (status DeadlineExceeded).
-  [[nodiscard]] std::size_t deadline_exceeded_runs() const;
-
-  // --- recovery counters ---
-  /// Inner solves recomputed reliably across the sweep (retry_reliable).
-  [[nodiscard]] std::size_t retried_reliable() const;
-  /// Outer cycles restarted across the sweep (restart_outer).
-  [[nodiscard]] std::size_t restarted_outer() const;
 };
 
 /// Validate \p config before any solve runs.  Throws std::invalid_argument

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "krylov/counters.hpp"
 #include "krylov/gmres.hpp"
 #include "krylov/hooks.hpp"
 #include "krylov/operator.hpp"
@@ -45,14 +46,13 @@ struct FcgOptions {
                                ///< iterating if it disagrees
 };
 
-/// Result of an FCG solve.
-struct FcgResult {
+/// Result of an FCG solve (iterations counts outer iterations; FCG counts
+/// its own global_syncs and sanitized_outputs).
+struct FcgResult : LevelCounters {
   la::Vector x;
   SolveStatus status = SolveStatus::MaxIterations;
-  std::size_t outer_iterations = 0;
   double residual_norm = 0.0; ///< explicit ||b - A*x|| at exit
   std::vector<double> residual_history;
-  std::size_t sanitized_outputs = 0;
 };
 
 /// Solve SPD A x = b with flexible preconditioner \p M from \p x0.
@@ -72,14 +72,11 @@ struct FtCgOptions {
 };
 
 /// Result of an FT-CG solve.
-struct FtCgResult {
+struct FtCgResult : NestedCounters {
   la::Vector x;
   SolveStatus status = SolveStatus::MaxIterations;
-  std::size_t outer_iterations = 0;
-  std::size_t total_inner_iterations = 0;
   double residual_norm = 0.0;
   std::vector<double> residual_history;
-  std::size_t sanitized_outputs = 0;
 };
 
 /// Solve SPD A x = b with FT-CG from a zero initial guess.

@@ -175,17 +175,13 @@ bool FgmresEngine::advance() {
   for (int attempt = 0; attempt < 2; ++attempt) {
     if (attempt > 0) a_->apply(zbasis.col(j), v.span());
     const ArnoldiContext ctx{.solve_index = 0, .iteration = j};
-    switch (opts_.ortho) {
-      case Orthogonalization::MGS: result_.global_syncs += j + 1; break;
-      case Orthogonalization::CGS: result_.global_syncs += 1; break;
-      case Orthogonalization::CGS2: result_.global_syncs += 2; break;
-    }
+    result_.global_syncs += ortho_sync_count(opts_.ortho, j + 1);
     orthogonalize(opts_.ortho, q, j + 1, v, hcol, nullptr, ctx);
     ++result_.global_syncs; // h(j+1,j) = ||v||
     hnext = la::nrm2(v);
     hcol[j + 1] = hnext;
     est = qr.add_column({hcol.data(), j + 2});
-    result_.outer_iterations = base_iters_ + j + 1;
+    result_.iterations = base_iters_ + j + 1;
 
     // --- Rank-revealing bookkeeping (trichotomy, Section VI-C). ---
     // Per-iteration monitoring is the O(k) incremental estimate over the
@@ -306,7 +302,7 @@ bool FgmresEngine::restart_cycle() {
   // the one direction begin_iteration() appended but never committed.
   base_iters_ += j_ + 1;
   ++result_.outer_restarts;
-  result_.outer_iterations = base_iters_;
+  result_.iterations = base_iters_;
 
   // Fold the accepted columns into the iterate -- the flagged direction
   // never entered the projected QR factorization -- and restart from the

@@ -15,6 +15,7 @@
 
 #include "dense/condition.hpp"
 #include "dense/lsq_policies.hpp"
+#include "krylov/counters.hpp"
 #include "krylov/operator.hpp"
 #include "krylov/orthogonalize.hpp"
 #include "krylov/precond.hpp"
@@ -68,14 +69,13 @@ struct FgmresOptions {
                                  ///< Diverged (0 disables)
 };
 
-/// Result of an FGMRES solve.
-struct FgmresResult {
+/// Result of an FGMRES solve (iterations counts outer iterations; the
+/// outer level counts global_syncs, sanitized_outputs and outer_restarts).
+struct FgmresResult : LevelCounters {
   la::Vector x;                 ///< final iterate
   SolveStatus status = SolveStatus::MaxIterations;
-  std::size_t outer_iterations = 0;
   double residual_norm = 0.0;   ///< explicit ||b - A*x|| at exit
   std::vector<double> residual_history; ///< estimate after each iteration
-  std::size_t sanitized_outputs = 0;    ///< z_j replaced due to Inf/NaN
   std::size_t rank_checks = 0;          ///< conditioning checks performed
                                         ///< (incremental per iteration,
                                         ///< exact SVD at breakdown)
@@ -83,12 +83,6 @@ struct FgmresResult {
                                         ///< seen (per-iteration values are
                                         ///< the incremental estimator's
                                         ///< upper bound of the true ratio)
-  std::size_t outer_restarts = 0;       ///< recovery restarts (restart_cycle)
-  std::size_t global_syncs = 0;         ///< global reductions the OUTER
-                                        ///< iteration consumed (norms +
-                                        ///< orthogonalization passes; the
-                                        ///< inner solves count their own,
-                                        ///< see GmresStats::global_syncs)
 };
 
 /// Step-driveable FGMRES: the single implementation behind both the

@@ -17,39 +17,30 @@ GmresOptions InnerSolveLedger::options_for(std::size_t outer_index) const {
 
 GmresOptions InnerSolveLedger::begin_solve(std::size_t outer_index) {
   cur_outer_ = outer_index;
-  retrying_ = false;
-  pending_iters_ = 0;
-  pending_applies_ = 0;
-  pending_syncs_ = 0;
+  pending_ = {};
   return options_for(outer_index);
 }
 
 GmresOptions InnerSolveLedger::begin_retry(const GmresStats& aborted) {
-  pending_iters_ = aborted.iterations;
-  pending_applies_ = aborted.operator_applies;
-  pending_syncs_ = aborted.global_syncs;
-  retrying_ = true;
+  pending_ = aborted;
+  pending_.reliable_retries = 1;
   return options_for(cur_outer_);
 }
 
 void InnerSolveLedger::record(std::size_t solve_index,
                               const GmresStats& inner) {
-  InnerSolveRecord rec{.outer_index = solve_index,
-                       .status = inner.status,
-                       .iterations = pending_iters_ + inner.iterations,
-                       .operator_applies =
-                           pending_applies_ + inner.operator_applies,
-                       .residual_norm = inner.residual_norm};
-  rec.global_syncs = pending_syncs_ + inner.global_syncs;
-  rec.reliable_retries = retrying_ ? 1 : 0;
+  InnerSolveRecord rec;
+  static_cast<LevelCounters&>(rec) = pending_;
+  rec += inner;
+  rec.outer_index = solve_index;
+  rec.status = inner.status;
+  rec.residual_norm = inner.residual_norm;
   rec.triggered_outer_restart =
       recovery_ == InnerRecovery::RestartOuter &&
       inner.status == SolveStatus::AbortedByDetector;
   records_.push_back(rec);
-  retrying_ = false;
-  pending_iters_ = 0;
-  pending_applies_ = 0;
-  pending_syncs_ = 0;
+  inner_total_ += rec;
+  pending_ = {};
 }
 
 GmresEngine InnerGmresPreconditioner::make_engine(std::span<const double> q,

@@ -83,56 +83,27 @@ struct FtGmresOptions {
   }
 };
 
-/// Bookkeeping for one inner solve.
-struct InnerSolveRecord {
+/// Bookkeeping for one inner solve.  When its solve was recomputed in
+/// reliable mode (reliable_retries == 1) the counters sum BOTH attempts --
+/// the total effort spent at this outer step -- while status and
+/// residual_norm describe the final one.
+struct InnerSolveRecord : LevelCounters {
   std::size_t outer_index = 0;
   SolveStatus status = SolveStatus::MaxIterations;
-  std::size_t iterations = 0;
-  std::size_t operator_applies = 0; ///< operator products this inner solve
-                                    ///< consumed (cycle residuals + Arnoldi
-                                    ///< products); identical whether they
-                                    ///< arrived as solo SpMVs or as columns
-                                    ///< of a lockstep batch's fused SpMM
   double residual_norm = 0.0; ///< inner least-squares estimate (may be
                               ///< corrupted when faults were injected)
-  std::size_t reliable_retries = 0; ///< 1 when this record's inner solve
-                              ///< was recomputed in reliable mode after a
-                              ///< detector abort (recovery RetryReliable);
-                              ///< iterations/operator_applies then sum
-                              ///< BOTH attempts (total effort spent at
-                              ///< this outer step) while status and
-                              ///< residual_norm describe the final one
   bool triggered_outer_restart = false; ///< this inner solve's detector
                               ///< abort triggered an outer-cycle restart
                               ///< (recovery RestartOuter)
-  std::size_t global_syncs = 0; ///< global reductions this inner solve
-                              ///< consumed (both attempts when a reliable
-                              ///< retry ran); see GmresStats::global_syncs
 };
 
 /// Result of an FT-GMRES solve.
-struct FtGmresResult {
+struct FtGmresResult : NestedCounters {
   la::Vector x;
   SolveStatus status = SolveStatus::MaxIterations;
-  std::size_t outer_iterations = 0;
-  std::size_t total_inner_iterations = 0;
-  std::size_t total_inner_applies = 0; ///< operator products consumed by
-                                       ///< the inner solves (the dominant
-                                       ///< matrix traffic at inner=25)
   double residual_norm = 0.0; ///< explicit ||b - A*x|| at exit
   std::vector<double> residual_history;
   std::vector<InnerSolveRecord> inner_solves;
-  std::size_t sanitized_outputs = 0; ///< inner results replaced by q_j
-  std::size_t reliable_retries = 0;  ///< inner solves recomputed reliably
-                                     ///< (recovery RetryReliable)
-  std::size_t outer_restarts = 0;    ///< outer cycles restarted (recovery
-                                     ///< RestartOuter)
-  std::size_t global_syncs = 0;      ///< global reductions the whole nested
-                                     ///< solve consumed: the outer
-                                     ///< iteration's own plus every inner
-                                     ///< solve's.  The s-step inner mode
-                                     ///< (GmresOptions::s_step) shrinks the
-                                     ///< inner share by ~s/2x.
 };
 
 /// The inner-solve bookkeeping every inner plane shares: the per-solve
@@ -154,7 +125,8 @@ public:
   /// make_reliable_retry() instead of finish_engine().
   template <typename Engine>
   [[nodiscard]] bool wants_reliable_retry(const Engine& engine) const {
-    return recovery_ == InnerRecovery::RetryReliable && !retrying_ &&
+    return recovery_ == InnerRecovery::RetryReliable &&
+           pending_.reliable_retries == 0 &&
            engine.finished() &&
            engine.stats().status == SolveStatus::AbortedByDetector;
   }
@@ -168,6 +140,13 @@ public:
 
   [[nodiscard]] const std::vector<InnerSolveRecord>& records() const {
     return records_;
+  }
+
+  /// The nested solve's counters: \p outer folded with every recorded
+  /// inner solve.
+  [[nodiscard]] NestedCounters nested_counters(
+      const LevelCounters& outer) const noexcept {
+    return nest(outer, inner_total_);
   }
 
 protected:
@@ -197,12 +176,11 @@ private:
   bool robust_first_solve_;
   InnerRecovery recovery_;
   std::vector<InnerSolveRecord> records_;
+  LevelCounters inner_total_; ///< sum over records_
   std::size_t cur_outer_ = 0;
-  // The aborted attempt's effort, carried into the retry's record.
-  std::size_t pending_iters_ = 0;
-  std::size_t pending_applies_ = 0;
-  std::size_t pending_syncs_ = 0;
-  bool retrying_ = false;
+  // The aborted attempt's counters, carried into the record of its
+  // reliable recompute; reliable_retries is 1 while that recompute runs.
+  LevelCounters pending_;
 };
 
 /// Inner GMRES exposed as a flexible preconditioner: each application

@@ -142,25 +142,16 @@ struct MixedPlaneFacade {
 };
 
 /// Assemble an FtGmresResult from the outer FGMRES result and the inner
-/// solve records (including the total-inner summations).
-FtGmresResult make_ft_gmres_result(
-    FgmresResult&& outer, const std::vector<InnerSolveRecord>& inner_solves) {
+/// solves' ledger.
+FtGmresResult make_ft_gmres_result(FgmresResult&& outer,
+                                   const InnerSolveLedger& inner) {
   FtGmresResult result;
+  static_cast<NestedCounters&>(result) = inner.nested_counters(outer);
   result.x = std::move(outer.x);
   result.status = outer.status;
-  result.outer_iterations = outer.outer_iterations;
   result.residual_norm = outer.residual_norm;
   result.residual_history = std::move(outer.residual_history);
-  result.inner_solves = inner_solves;
-  result.sanitized_outputs = outer.sanitized_outputs;
-  result.outer_restarts = outer.outer_restarts;
-  result.global_syncs = outer.global_syncs;
-  for (const InnerSolveRecord& rec : result.inner_solves) {
-    result.total_inner_iterations += rec.iterations;
-    result.total_inner_applies += rec.operator_applies;
-    result.reliable_retries += rec.reliable_retries;
-    result.global_syncs += rec.global_syncs;
-  }
+  result.inner_solves = inner.records();
   return result;
 }
 
@@ -310,8 +301,7 @@ std::vector<FtGmresResult> ft_gmres_lockstep(
   }
 
   for (std::size_t i = 0; i < batch; ++i) {
-    results[i] =
-        make_ft_gmres_result(engines[i].take_result(), inner[i].records());
+    results[i] = make_ft_gmres_result(engines[i].take_result(), inner[i]);
   }
   return results;
 }

@@ -16,23 +16,6 @@
 
 namespace sdcgmres::krylov {
 
-namespace {
-
-/// Global reductions one orthogonalization pass over k columns costs on a
-/// distributed machine: MGS is k sequential dot products, CGS is one
-/// blocked gemv_t pass, CGS2 two.
-inline std::size_t ortho_sync_count(Orthogonalization kind,
-                                    std::size_t k) noexcept {
-  switch (kind) {
-    case Orthogonalization::MGS: return k;
-    case Orthogonalization::CGS: return 1;
-    case Orthogonalization::CGS2: return 2;
-  }
-  return 0;
-}
-
-} // namespace
-
 // ---------------------------------------------------------------------------
 // GmresEngine: the one GMRES implementation.  gmres_in_place() below drives
 // it straight through; the FT-GMRES batch driver interleaves many engines
@@ -669,15 +652,9 @@ GmresResult gmres(const LinearOperator& A, const la::Vector& b,
   GmresResult result;
   result.x = x0;
   result.residual_history.reserve(opts.max_iters);
-  const GmresStats stats =
+  static_cast<GmresStats&>(result) =
       gmres_in_place(A, b.span(), result.x.span(), opts, hook, solve_index,
                      ws, &result.residual_history);
-  result.status = stats.status;
-  result.iterations = stats.iterations;
-  result.residual_norm = stats.residual_norm;
-  result.lsq_effective_rank = stats.lsq_effective_rank;
-  result.lsq_fallback_triggered = stats.lsq_fallback_triggered;
-  result.global_syncs = stats.global_syncs;
   return result;
 }
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "dense/lsq_policies.hpp"
+#include "krylov/counters.hpp"
 #include "krylov/hooks.hpp"
 #include "krylov/operator.hpp"
 #include "krylov/orthogonalize.hpp"
@@ -65,44 +66,20 @@ struct GmresOptions {
                                  ///< right_precond (validated up front).
 };
 
-/// Result of a GMRES solve.
-struct GmresResult {
-  la::Vector x;                     ///< final iterate
-  SolveStatus status = SolveStatus::MaxIterations;
-  std::size_t iterations = 0;       ///< Arnoldi iterations performed
-  double residual_norm = 0.0;       ///< final least-squares residual estimate
-  std::vector<double> residual_history; ///< estimate after each iteration
-  std::size_t lsq_effective_rank = 0;   ///< rank used by the final update
-  bool lsq_fallback_triggered = false;  ///< policy-2 fallback fired
-  std::size_t global_syncs = 0;         ///< global reductions consumed (see
-                                        ///< GmresStats::global_syncs)
-};
-
 /// Statistics of an in-place GMRES solve (everything in GmresResult except
 /// the owning iterate and history, which the span entry point leaves with
 /// the caller).
-struct GmresStats {
+struct GmresStats : LevelCounters {
   SolveStatus status = SolveStatus::MaxIterations;
-  std::size_t iterations = 0;
-  double residual_norm = 0.0;
-  std::size_t operator_applies = 0; ///< operator products the solve consumed
-                                    ///< (one per restart-cycle residual, one
-                                    ///< per Arnoldi iteration); independent
-                                    ///< of whether the products arrived as
-                                    ///< solo SpMVs or fused SpMM columns
-  std::size_t lsq_effective_rank = 0;
-  bool lsq_fallback_triggered = false;
-  std::size_t global_syncs = 0; ///< global reductions the solve consumed:
-                                ///< every norm and every (blocked) inner-
-                                ///< product pass that would be an
-                                ///< all-reduce on a distributed machine.
-                                ///< MGS counts one per basis column, CGS
-                                ///< one per pass; the s-step block commit
-                                ///< counts exactly two (projection + TSQR)
-                                ///< per s columns.  This is the metric the
-                                ///< communication-avoiding mode improves,
-                                ///< measurable even where wall-clock is
-                                ///< flat (1-core containers).
+  double residual_norm = 0.0; ///< final least-squares residual estimate
+  std::size_t lsq_effective_rank = 0;  ///< rank used by the final update
+  bool lsq_fallback_triggered = false; ///< policy-2 fallback fired
+};
+
+/// Result of a GMRES solve.
+struct GmresResult : GmresStats {
+  la::Vector x;                         ///< final iterate
+  std::vector<double> residual_history; ///< estimate after each iteration
 };
 
 /// Step-driveable GMRES: the single implementation behind gmres(),

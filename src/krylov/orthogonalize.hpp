@@ -34,6 +34,19 @@ enum class Orthogonalization {
 /// Human-readable name (for reports).
 [[nodiscard]] const char* to_string(Orthogonalization kind) noexcept;
 
+/// Global reductions one orthogonalization against k columns costs on a
+/// distributed machine: MGS is k sequential dot products, CGS is one
+/// blocked gemv_t pass, CGS2 two.
+[[nodiscard]] constexpr std::size_t ortho_sync_count(
+    Orthogonalization kind, std::size_t k) noexcept {
+  switch (kind) {
+    case Orthogonalization::MGS: return k;
+    case Orthogonalization::CGS: return 1;
+    case Orthogonalization::CGS2: return 2;
+  }
+  return 0;
+}
+
 /// Orthogonalize \p v against the \p k basis vectors \p q[0..k-1], writing
 /// the projection coefficients into \p h (length >= k).  On return v is
 /// (approximately) orthogonal to span{q_0..q_{k-1}} and h[i] holds the

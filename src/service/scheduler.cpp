@@ -34,27 +34,6 @@ std::size_t parse_seq(const std::string& id) {
   return value;
 }
 
-/// Fold one journal tail into an aggregate (sharded jobs: the ranges
-/// partition the point set, so counters sum without overlap).
-void accumulate_progress(experiment::SweepProgress& total,
-                         const experiment::SweepProgress& part) {
-  if (!part.started) return;
-  if (!total.started) total.header = part.header;
-  total.started = true;
-  total.points_done += part.points_done;
-  total.failed += part.failed;
-  total.detected += part.detected;
-  total.diverged += part.diverged;
-  total.deadline_exceeded += part.deadline_exceeded;
-  total.reliable_retries += part.reliable_retries;
-  total.outer_restarts += part.outer_restarts;
-  if (part.has_stats) {
-    total.has_stats = true;
-    total.stats.points_done += part.stats.points_done;
-    total.stats.traffic += part.stats.traffic;
-  }
-}
-
 /// Tail \p id's progress: the merged journal once it exists, else the
 /// per-range journals a sharded run is still writing.  A live writer may
 /// be mid-append; tail_sweep_journal tolerates the unterminated tail.
@@ -80,7 +59,7 @@ experiment::SweepProgress job_progress(const SpoolPaths& paths,
   std::sort(ranges.begin(), ranges.end());
   for (const std::string& path : ranges) {
     try {
-      accumulate_progress(total, experiment::tail_sweep_journal(path));
+      total += experiment::tail_sweep_journal(path);
     } catch (const std::exception&) {
     }
   }
@@ -356,15 +335,16 @@ std::string status_json(const JobStatus& status) {
   }
   if (status.progress.started) {
     const experiment::SweepProgress& p = status.progress;
+    const experiment::SweepTally& t = p.tally;
     out << ",\n  \"progress\": {\n"
-        << "    \"points_done\": " << p.points_done << ",\n"
+        << "    \"points_done\": " << t.points << ",\n"
         << "    \"points_total\": " << p.header.n_points << ",\n"
-        << "    \"failed\": " << p.failed << ",\n"
-        << "    \"detected\": " << p.detected << ",\n"
-        << "    \"diverged\": " << p.diverged << ",\n"
-        << "    \"deadline_exceeded\": " << p.deadline_exceeded << ",\n"
-        << "    \"retried_reliable\": " << p.reliable_retries << ",\n"
-        << "    \"restarted_outer\": " << p.outer_restarts;
+        << "    \"failed\": " << t.failed << ",\n"
+        << "    \"detected\": " << t.detected << ",\n"
+        << "    \"diverged\": " << t.diverged << ",\n"
+        << "    \"deadline_exceeded\": " << t.deadline_exceeded << ",\n"
+        << "    \"retried_reliable\": " << t.reliable_retries << ",\n"
+        << "    \"restarted_outer\": " << t.outer_restarts;
     if (p.has_stats) {
       out << ",\n    \"matrix_streams\": " << p.stats.traffic.streams()
           << ",\n    \"operand_columns\": " << p.stats.traffic.columns()

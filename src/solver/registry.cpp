@@ -249,17 +249,9 @@ detector_registry() {
     r->add("bound", [](const std::string& arg, double default_bound,
                        const ScenarioSpec& spec)
                -> std::unique_ptr<sdc::HessenbergBoundDetector> {
-      // Inline arg > `recovery` spec key > legacy `response` spec key.
-      std::string response_name;
-      if (!arg.empty()) {
-        response_name = arg;
-      } else if (spec.has("recovery")) {
-        response_name = spec.get("recovery");
-      } else {
-        response_name = spec.get("response", "abort");
-      }
-      const sdc::DetectorResponse response =
-          recovery_registry().make(response_name, spec);
+      // Inline arg > `recovery` spec key.
+      const sdc::DetectorResponse response = recovery_registry().make(
+          !arg.empty() ? arg : spec.get("recovery", "abort"), spec);
       double bound = default_bound;
       if (const std::string text = spec.get("bound", "auto"); text != "auto") {
         bound = spec.get_double("bound", bound);

@@ -146,9 +146,8 @@ fault_model_registry();
 
 /// Detectors; "none" yields nullptr.  `bound` reads the threshold from
 /// spec key `bound` ("auto" or absent uses \p default_bound, the caller's
-/// ||A||_F) and the response from the inline arg, the `recovery` spec
-/// key, or the legacy `response` spec key, in that order (a recovery_registry
-/// name; default abort).
+/// ||A||_F) and the response from the inline arg or else the `recovery`
+/// spec key (a recovery_registry name; default abort).
 [[nodiscard]] Registry<std::unique_ptr<sdc::HessenbergBoundDetector>(
     double default_bound, const experiment::ScenarioSpec&)>&
 detector_registry();

@@ -39,6 +39,16 @@ void reject_s_step(const Options& o, const char* family) {
   }
 }
 
+/// A nested solver's report counters: the outer iterations are the
+/// report's `iterations`.
+SolveReport report_from_nested(const krylov::NestedCounters& c) {
+  SolveReport r;
+  static_cast<krylov::SolveCounters&>(r) = c;
+  r.iterations = c.outer_iterations;
+  r.total_inner_iterations = c.total_inner_iterations;
+  return r;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -168,12 +178,11 @@ SolveReport GmresSolver::solve(std::span<const double> b,
   r.residual_history.reserve(opts_.max_iters);
   const krylov::GmresStats stats = krylov::gmres_in_place(
       *a_, b, x, opts_, hook_, /*solve_index=*/0, &ws_, &r.residual_history);
+  static_cast<krylov::LevelCounters&>(r) = stats;
   r.status = stats.status;
-  r.iterations = stats.iterations;
   r.residual_norm = stats.residual_norm;
   r.lsq_effective_rank = stats.lsq_effective_rank;
   r.lsq_fallback_triggered = stats.lsq_fallback_triggered;
-  r.global_syncs = stats.global_syncs;
   return r;
 }
 
@@ -201,14 +210,12 @@ SolveReport FgmresSolver::solve(std::span<const double> b,
       krylov::fgmres(*a_, b_scratch_, x_scratch_, opts_, *m_, &ws_);
   copy_out(res.x, x);
   SolveReport r;
+  static_cast<krylov::LevelCounters&>(r) = res;
   r.status = res.status;
-  r.iterations = res.outer_iterations;
   r.residual_norm = res.residual_norm;
   r.residual_history = std::move(res.residual_history);
-  r.sanitized_outputs = res.sanitized_outputs;
   r.rank_checks = res.rank_checks;
   r.min_sigma_ratio = res.min_sigma_ratio;
-  r.global_syncs = res.global_syncs;
   return r;
 }
 
@@ -219,18 +226,11 @@ SolveReport FgmresSolver::solve(std::span<const double> b,
 namespace {
 
 SolveReport report_from_ft_result(krylov::FtGmresResult res) {
-  SolveReport r;
+  SolveReport r = report_from_nested(res);
   r.status = res.status;
-  r.iterations = res.outer_iterations;
-  r.total_inner_iterations = res.total_inner_iterations;
-  r.total_inner_applies = res.total_inner_applies;
   r.residual_norm = res.residual_norm;
   r.residual_history = std::move(res.residual_history);
   r.inner_solves = std::move(res.inner_solves);
-  r.sanitized_outputs = res.sanitized_outputs;
-  r.reliable_retries = res.reliable_retries;
-  r.outer_restarts = res.outer_restarts;
-  r.global_syncs = res.global_syncs;
   return r;
 }
 
@@ -338,11 +338,10 @@ SolveReport FcgSolver::solve(std::span<const double> b, std::span<double> x) {
       krylov::fcg(*a_, b_scratch_, x_scratch_, opts_, *m_);
   copy_out(res.x, x);
   SolveReport r;
+  static_cast<krylov::LevelCounters&>(r) = res;
   r.status = res.status;
-  r.iterations = res.outer_iterations;
   r.residual_norm = res.residual_norm;
   r.residual_history = std::move(res.residual_history);
-  r.sanitized_outputs = res.sanitized_outputs;
   return r;
 }
 
@@ -359,13 +358,10 @@ SolveReport FtCgSolver::solve(std::span<const double> b,
   copy_in(b, b_scratch_);
   krylov::FtCgResult res = krylov::ft_cg(*a_, b_scratch_, opts_, hook_);
   copy_out(res.x, x);
-  SolveReport r;
+  SolveReport r = report_from_nested(res);
   r.status = res.status;
-  r.iterations = res.outer_iterations;
-  r.total_inner_iterations = res.total_inner_iterations;
   r.residual_norm = res.residual_norm;
   r.residual_history = std::move(res.residual_history);
-  r.sanitized_outputs = res.sanitized_outputs;
   return r;
 }
 

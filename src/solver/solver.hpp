@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "krylov/cg.hpp"
+#include "krylov/counters.hpp"
 #include "krylov/fcg.hpp"
 #include "krylov/fgmres.hpp"
 #include "krylov/ft_gmres.hpp"
@@ -131,36 +132,21 @@ struct Options {
 [[nodiscard]] krylov::FtCgOptions to_ft_cg_options(const Options& o);
 
 /// One result shape for every solver.  Fields that a solver does not
-/// produce keep their zero defaults.
-struct SolveReport {
+/// produce keep their zero defaults.  The counters (krylov/counters.hpp)
+/// are the solve's own for gmres/cg/fgmres/fcg; a nested solver reports
+/// its outer iterations as `iterations` and sums the rest over both
+/// levels.
+struct SolveReport : krylov::LevelCounters {
   SolveStatus status = SolveStatus::MaxIterations;
-  std::size_t iterations = 0; ///< outer iterations (nested/flexible) or
-                              ///< total iterations (gmres/cg)
   std::size_t total_inner_iterations = 0; ///< nested solvers only
-  std::size_t total_inner_applies = 0; ///< ft_gmres family: operator
-                              ///< products consumed by the unreliable
-                              ///< inner solves (the dominant matrix
-                              ///< traffic; mode-independent, whether the
-                              ///< products ran solo or lockstep-fused)
   double residual_norm = 0.0; ///< final residual (explicit where the
                               ///< underlying solver certifies explicitly)
   std::vector<double> residual_history; ///< per-(outer-)iteration estimates
   std::vector<krylov::InnerSolveRecord> inner_solves; ///< nested only
-  std::size_t sanitized_outputs = 0; ///< flexible/nested: z_j replaced
   std::size_t lsq_effective_rank = 0;   ///< gmres only
   bool lsq_fallback_triggered = false;  ///< gmres only
   std::size_t rank_checks = 0;          ///< fgmres family
   double min_sigma_ratio = 1.0;         ///< fgmres family
-  std::size_t reliable_retries = 0;     ///< ft_gmres: inner solves recomputed
-                                        ///< reliably (recovery RetryReliable)
-  std::size_t outer_restarts = 0;       ///< ft_gmres: outer cycles restarted
-                                        ///< (recovery RestartOuter)
-  std::size_t global_syncs = 0;         ///< global reductions (norms +
-                                        ///< blocked inner-product passes)
-                                        ///< the solve consumed; nested
-                                        ///< solvers report outer + all
-                                        ///< inner (see
-                                        ///< krylov::GmresStats::global_syncs)
 
   /// Tolerance reached or invariant subspace found.
   [[nodiscard]] bool converged() const noexcept { return is_success(status); }

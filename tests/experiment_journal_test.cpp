@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,6 +19,7 @@ namespace experiment = sdcgmres::experiment;
 namespace krylov = sdcgmres::krylov;
 namespace gen = sdcgmres::gen;
 namespace la = sdcgmres::la;
+namespace sdc = sdcgmres::sdc;
 
 namespace {
 
@@ -37,6 +40,9 @@ experiment::SweepJournalHeader sample_header() {
   return h;
 }
 
+/// Every counter gets a value no other counter takes, so a counter left
+/// out of the journal's key table fails the round trips below, and one
+/// written under another counter's key fails PointRecordKeepsItsKeysAndOrder.
 experiment::SweepPoint sample_point(std::size_t site) {
   experiment::SweepPoint p;
   p.aggregate_iteration = site;
@@ -44,11 +50,12 @@ experiment::SweepPoint sample_point(std::size_t site) {
   p.converged = true;
   p.injected = true;
   p.detected = site % 2 == 0;
-  p.sanitized_outputs = site % 2;
-  p.inner_applies = 25 * (7 + site % 3);
+  p.sanitized_outputs = 10 + site;
+  p.operator_applies = 25 * (7 + site % 3);
   p.inner_diverged = site % 4 == 0 ? 1 : 0;
-  p.reliable_retries = site % 2;
-  p.outer_restarts = site % 3;
+  p.reliable_retries = 20 + site;
+  p.outer_restarts = 30 + site;
+  p.global_syncs = 1000 + 37 * site;
   p.status = krylov::SolveStatus::Converged;
   // A value with no short decimal representation: the bit-pattern
   // round-trip is exactly what distinguishes the journal from a CSV.
@@ -113,6 +120,29 @@ TEST(SweepJournal, AppendFlushLoadRoundTrips) {
   ASSERT_EQ(contents.points.size(), 2u);
   EXPECT_EQ(contents.points[0].first, 3u);
   EXPECT_EQ(contents.points[1].second, sample_point(4));
+  std::remove(path.c_str());
+}
+
+TEST(SweepJournal, PointRecordKeepsItsKeysAndOrder) {
+  // Journals outlive builds: a point's keys, their order, and which
+  // counter each key carries are a file format, not an implementation
+  // detail (a swapped key/member pair would still round-trip).
+  const std::string path = journal_path("format");
+  experiment::SweepJournal::write_merged(path, sample_header(),
+                                         {{1, sample_point(1)}});
+  std::ifstream in(path);
+  std::string header_line;
+  std::string point_line;
+  ASSERT_TRUE(std::getline(in, header_line));
+  ASSERT_TRUE(std::getline(in, point_line));
+  const double residual = sample_point(1).residual_norm;
+  EXPECT_EQ(point_line,
+            "{\"type\":\"point\",\"index\":1,\"site\":1,\"outer\":8,"
+            "\"status\":\"converged\",\"converged\":true,\"injected\":true,"
+            "\"detected\":false,\"sanitized\":11,\"inner_applies\":200,"
+            "\"inner_diverged\":0,\"retries\":21,\"restarts\":31,"
+            "\"syncs\":1037,\"residual_bits\":" +
+                std::to_string(std::bit_cast<std::uint64_t>(residual)) + "}");
   std::remove(path.c_str());
 }
 
@@ -309,7 +339,7 @@ TEST(SweepJournal, TailOfMissingJournalIsNotStarted) {
   const auto progress =
       experiment::tail_sweep_journal(journal_path("tail_missing"));
   EXPECT_FALSE(progress.started);
-  EXPECT_EQ(progress.points_done, 0u);
+  EXPECT_EQ(progress.tally.points, 0u);
   EXPECT_FALSE(progress.has_stats);
 }
 
@@ -329,12 +359,54 @@ TEST(SweepJournal, TailAggregatesPointsWithLastWinsDedup) {
   const auto progress = experiment::tail_sweep_journal(path);
   EXPECT_TRUE(progress.started);
   EXPECT_EQ(progress.header, sample_header());
-  EXPECT_EQ(progress.points_done, 2u);
-  EXPECT_EQ(progress.detected, 1u); // sites 0 (even) of {0,1}
-  EXPECT_EQ(progress.diverged, 1u); // site 0 has inner_diverged == 1
-  EXPECT_EQ(progress.reliable_retries, 1u); // 0%2 + 1%2
-  EXPECT_EQ(progress.outer_restarts, 1u);   // 0%3 + 1%3
+  EXPECT_EQ(progress.tally.points, 2u);
+  EXPECT_EQ(progress.tally.detected, 1u); // sites 0 (even) of {0,1}
+  EXPECT_EQ(progress.tally.diverged, 1u); // site 0 has inner_diverged == 1
+  EXPECT_EQ(progress.tally.reliable_retries, 41u); // 20 + 21
+  EXPECT_EQ(progress.tally.outer_restarts, 61u);   // 30 + 31
   ASSERT_TRUE(progress.has_stats);
   EXPECT_EQ(progress.stats, sample_stats(2));
   std::remove(path.c_str());
+}
+
+TEST(SweepJournal, TallyOfResultTailAndShardMergeAgree) {
+  // One tally type, three routes: the finished result, the journal tail,
+  // and the service's merge of per-range journal tails.
+  const auto A = gen::poisson2d(6);
+  const la::Vector b = la::ones(36);
+  auto config = small_sweep_config();
+  config.with_detector = true;
+  config.detector_bound = A.frobenius_norm();
+  config.detector_response = sdc::DetectorResponse::RetryReliable;
+  const std::string path = journal_path("tally");
+  config.journal = path;
+  const auto sweep = experiment::run_injection_sweep(A, b, config);
+  const experiment::SweepTally tally = sweep.tally();
+  ASSERT_GT(tally.reliable_retries, 0u);
+  ASSERT_GT(tally.global_syncs, 0u);
+
+  const auto tail = experiment::tail_sweep_journal(path);
+  EXPECT_EQ(tail.tally, tally);
+
+  // Split the journal into two range journals, as a sharded sweep writes
+  // them, and merge their tails the way the service does.
+  const auto contents = experiment::SweepJournal::load(path);
+  const std::size_t half = contents.points.size() / 2;
+  const std::string lo = journal_path("tally_range0");
+  const std::string hi = journal_path("tally_range1");
+  experiment::SweepJournal::write_merged(
+      lo, contents.header,
+      {contents.points.begin(), contents.points.begin() + half});
+  experiment::SweepJournal::write_merged(
+      hi, contents.header,
+      {contents.points.begin() + half, contents.points.end()});
+  experiment::SweepProgress merged;
+  merged += experiment::tail_sweep_journal(lo);
+  merged += experiment::tail_sweep_journal(hi);
+  EXPECT_EQ(merged.header, contents.header);
+  EXPECT_EQ(merged.tally, tally);
+
+  std::remove(path.c_str());
+  std::remove(lo.c_str());
+  std::remove(hi.c_str());
 }

@@ -116,7 +116,7 @@ TEST(Scenario, FaultAndDetectorWireUp) {
   // it (the detector is chained after the campaign).
   const auto result = experiment::run_scenario(
       "solver=ft_gmres matrix=poisson n=8 inner=6 fault=class1 site=3 "
-      "position=first detector=bound response=record");
+      "position=first detector=bound recovery=record");
   EXPECT_TRUE(result.injected);
   EXPECT_TRUE(result.detected);
   EXPECT_TRUE(result.report.converged());
@@ -331,6 +331,23 @@ TEST(Scenario, RecoveryKeyNeedsADetector) {
   }
 }
 
+TEST(Scenario, RemovedResponseKeyNamesRecovery) {
+  // `response=` was a second spelling of `recovery=`; it is rejected with
+  // the replacement spelled out, in both solve and sweep mode.
+  for (const char* spec_text :
+       {"solver=ft_gmres matrix=poisson n=6 detector=bound response=abort",
+        "matrix=poisson n=6 sweep=1 fault=class1 detector=bound "
+        "response=record"}) {
+    try {
+      (void)experiment::run_scenario(spec_text);
+      FAIL() << "expected std::invalid_argument for " << spec_text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("recovery="), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Scenario, RecoveryKeyDrivesDetectorTriggeredRecovery) {
   // retry_reliable heals every detected class-1 fault back to the
   // failure-free outer count; with plain abort some sites pay extra outer
@@ -341,15 +358,15 @@ TEST(Scenario, RecoveryKeyDrivesDetectorTriggeredRecovery) {
   retry.set("recovery", "retry_reliable");
   const auto sweep = experiment::run_injection_sweep(retry);
   EXPECT_GT(sweep.detected_runs(), 0u);
-  EXPECT_EQ(sweep.retried_reliable(), sweep.detected_runs());
+  EXPECT_EQ(sweep.tally().reliable_retries, sweep.detected_runs());
   EXPECT_EQ(sweep.max_outer_increase(), 0u);
   EXPECT_EQ(sweep.unchanged_runs(), sweep.points.size());
 
   auto restart = ScenarioSpec::parse(base);
   restart.set("recovery", "restart_outer");
   const auto restarted = experiment::run_injection_sweep(restart);
-  EXPECT_EQ(restarted.restarted_outer(), restarted.detected_runs());
-  EXPECT_EQ(restarted.failed_runs(), 0u);
+  EXPECT_EQ(restarted.tally().outer_restarts, restarted.detected_runs());
+  EXPECT_EQ(restarted.tally().failed, 0u);
 }
 
 TEST(Scenario, ResumeWithoutJournalIsRejected) {

@@ -112,7 +112,7 @@ TEST(Sweep, SmallFaultsBarelyPerturbConvergence) {
   config.model = sdc::fault_classes::nearly_zero();
   config.stride = 3;
   const auto sweep = experiment::run_injection_sweep(A, b, config);
-  EXPECT_EQ(sweep.failed_runs(), 0u);
+  EXPECT_EQ(sweep.tally().failed, 0u);
   EXPECT_LE(sweep.max_outer_increase(), 3u);
 }
 
@@ -279,7 +279,7 @@ TEST(Sweep, SummaryCountsAreConsistent) {
   config.stride = 2;
   const auto sweep = experiment::run_injection_sweep(A, b, config);
   EXPECT_LE(sweep.unchanged_runs(), sweep.points.size());
-  EXPECT_LE(sweep.failed_runs(), sweep.points.size());
+  EXPECT_LE(sweep.tally().failed, sweep.points.size());
   EXPECT_EQ(sweep.detected_runs(), 0u); // no detector attached
 }
 
@@ -403,7 +403,7 @@ TEST(Sweep, BatchedSweepCutsMatrixStreamsNotColumns) {
   const auto batched = experiment::run_injection_sweep(A, b, config);
 
   EXPECT_EQ(batched.points, solo.points);
-  EXPECT_GT(solo.points[0].inner_applies, 0u);
+  EXPECT_GT(solo.points[0].operator_applies, 0u);
   EXPECT_EQ(batched.inner_operand_columns(), solo.inner_operand_columns());
   EXPECT_EQ(batched.operator_stats.columns(), solo.operator_stats.columns());
   // The inner solves dominate the columns (inner budget vs one outer
@@ -453,9 +453,9 @@ TEST(Sweep, RetryReliableHealsEveryDetectedSiteAndStaysIdentical) {
 
   const auto serial = experiment::run_injection_sweep(A, b, config);
   EXPECT_GT(serial.detected_runs(), 0u);
-  EXPECT_EQ(serial.retried_reliable(), serial.detected_runs());
+  EXPECT_EQ(serial.tally().reliable_retries, serial.detected_runs());
   EXPECT_EQ(serial.max_outer_increase(), 0u);
-  EXPECT_EQ(serial.failed_runs(), 0u);
+  EXPECT_EQ(serial.tally().failed, 0u);
 
   config.threads = 3;
   config.batch = 3;
@@ -476,7 +476,7 @@ TEST(Sweep, RestartOuterUnderThreadsAndBatchStaysIdentical) {
 
   const auto serial = experiment::run_injection_sweep(A, b, config);
   EXPECT_GT(serial.detected_runs(), 0u);
-  EXPECT_EQ(serial.restarted_outer(), serial.detected_runs());
+  EXPECT_EQ(serial.tally().outer_restarts, serial.detected_runs());
 
   config.threads = 3;
   config.batch = 3;

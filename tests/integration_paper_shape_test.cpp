@@ -40,7 +40,7 @@ TEST(PaperShape, EveryConfigurationRunsThrough) {
                              sdc::fault_classes::nearly_zero()}) {
       const auto sweep = run(position, model);
       EXPECT_TRUE(sweep.baseline_converged);
-      EXPECT_EQ(sweep.failed_runs(), 0u) << sdc::to_string(model);
+      EXPECT_EQ(sweep.tally().failed, 0u) << sdc::to_string(model);
     }
   }
 }
@@ -95,6 +95,6 @@ TEST(PaperShape, DetectorMakesClass1PenaltySmall) {
   config.with_detector = true;
   config.detector_bound = A.frobenius_norm();
   const auto sweep = experiment::run_injection_sweep(A, b, config);
-  EXPECT_EQ(sweep.failed_runs(), 0u);
+  EXPECT_EQ(sweep.tally().failed, 0u);
   EXPECT_LE(sweep.max_outer_increase(), 2u);
 }

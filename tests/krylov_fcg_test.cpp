@@ -74,7 +74,7 @@ TEST(Fcg, IdentityPreconditionerMatchesPlainCgIterationCount) {
   ASSERT_TRUE(plain.converged);
   // With a fixed M, FCG reduces to PCG up to rounding; identical counts
   // modulo the explicit-residual verification step.
-  EXPECT_NEAR(static_cast<double>(flex.outer_iterations),
+  EXPECT_NEAR(static_cast<double>(flex.iterations),
               static_cast<double>(plain.iterations), 2.0);
 }
 

@@ -85,7 +85,7 @@ TEST(Fgmres, IdentityPreconditionerMatchesGmres) {
   ASSERT_EQ(flex.status, krylov::SolveStatus::Converged);
   ASSERT_EQ(plain.status, krylov::SolveStatus::Converged);
   // With M = I, FGMRES *is* GMRES: same iteration counts.
-  EXPECT_EQ(flex.outer_iterations, plain.iterations);
+  EXPECT_EQ(flex.iterations, plain.iterations);
 }
 
 TEST(Fgmres, ConvergesWithChangingPreconditioner) {
@@ -204,7 +204,7 @@ TEST(Fgmres, ZeroInitialResidualReturnsImmediately) {
   krylov::FixedFlexibleAdapter M(ident);
   const auto res = krylov::fgmres(op, b, x_true, krylov::FgmresOptions{}, M);
   EXPECT_EQ(res.status, krylov::SolveStatus::Converged);
-  EXPECT_EQ(res.outer_iterations, 0u);
+  EXPECT_EQ(res.iterations, 0u);
 }
 
 TEST(Fgmres, TracksRankChecks) {
@@ -216,7 +216,7 @@ TEST(Fgmres, TracksRankChecks) {
   opts.tol = 1e-8;
   opts.rank_check_every_iteration = true;
   const auto res = krylov::fgmres(op, la::ones(36), la::zeros(36), opts, M);
-  EXPECT_EQ(res.rank_checks, res.outer_iterations);
+  EXPECT_EQ(res.rank_checks, res.iterations);
   EXPECT_GT(res.min_sigma_ratio, 0.0);
   EXPECT_LE(res.min_sigma_ratio, 1.0);
 }
@@ -231,7 +231,7 @@ TEST(Fgmres, MaxIterationsReportedWhenBudgetTooSmall) {
   opts.tol = 1e-12;
   const auto res = krylov::fgmres(op, la::ones(100), la::zeros(100), opts, M);
   EXPECT_EQ(res.status, krylov::SolveStatus::MaxIterations);
-  EXPECT_EQ(res.outer_iterations, 3u);
+  EXPECT_EQ(res.iterations, 3u);
   // Even without convergence the best iterate is returned.
   EXPECT_LT(res.residual_norm, la::nrm2(la::ones(100)));
 }

@@ -41,7 +41,7 @@ void expect_same_result(const krylov::FtGmresResult& got,
   EXPECT_EQ(got.status, want.status);
   EXPECT_EQ(got.outer_iterations, want.outer_iterations);
   EXPECT_EQ(got.total_inner_iterations, want.total_inner_iterations);
-  EXPECT_EQ(got.total_inner_applies, want.total_inner_applies);
+  EXPECT_EQ(got.operator_applies, want.operator_applies);
   EXPECT_EQ(got.sanitized_outputs, want.sanitized_outputs);
   EXPECT_EQ(got.residual_norm, want.residual_norm); // bitwise
   ASSERT_EQ(got.x.size(), want.x.size());

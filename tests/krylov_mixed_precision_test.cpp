@@ -68,7 +68,7 @@ void expect_bitwise(const krylov::FtGmresResult& got,
   EXPECT_EQ(got.status, want.status);
   EXPECT_EQ(got.outer_iterations, want.outer_iterations);
   EXPECT_EQ(got.total_inner_iterations, want.total_inner_iterations);
-  EXPECT_EQ(got.total_inner_applies, want.total_inner_applies);
+  EXPECT_EQ(got.operator_applies, want.operator_applies);
   EXPECT_EQ(got.reliable_retries, want.reliable_retries);
   EXPECT_EQ(got.outer_restarts, want.outer_restarts);
   EXPECT_EQ(got.global_syncs, want.global_syncs);

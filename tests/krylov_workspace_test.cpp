@@ -108,8 +108,8 @@ TEST(Workspace, RepeatedFgmresSolvesMatchFreshState) {
   ASSERT_EQ(fresh1.status, krylov::SolveStatus::Converged);
   EXPECT_EQ(reused1.status, fresh1.status);
   EXPECT_EQ(reused2.status, fresh2.status);
-  EXPECT_EQ(reused1.outer_iterations, fresh1.outer_iterations);
-  EXPECT_EQ(reused2.outer_iterations, fresh2.outer_iterations);
+  EXPECT_EQ(reused1.iterations, fresh1.iterations);
+  EXPECT_EQ(reused2.iterations, fresh2.iterations);
   EXPECT_EQ(reused1.residual_norm, fresh1.residual_norm);
   EXPECT_EQ(reused2.residual_norm, fresh2.residual_norm);
   expect_same_vector(reused1.x, fresh1.x);

@@ -152,7 +152,7 @@ TEST(Sandbox, OuterSolverConvergesDespiteCrashingGuest) {
   opts.tol = 1e-8;
   const auto res = krylov::fgmres(op, la::ones(49), la::zeros(49), opts, box);
   EXPECT_EQ(res.status, krylov::SolveStatus::Converged);
-  EXPECT_EQ(box.stats().exceptions, res.outer_iterations);
+  EXPECT_EQ(box.stats().exceptions, res.iterations);
 }
 
 TEST(Sandbox, WrapsInnerGmresTransparently) {
@@ -172,6 +172,6 @@ TEST(Sandbox, WrapsInnerGmresTransparently) {
 
   ASSERT_EQ(direct.status, krylov::SolveStatus::Converged);
   ASSERT_EQ(sandboxed.status, krylov::SolveStatus::Converged);
-  EXPECT_EQ(sandboxed.outer_iterations, direct.outer_iterations);
-  EXPECT_EQ(box.stats().invocations, sandboxed.outer_iterations);
+  EXPECT_EQ(sandboxed.iterations, direct.outer_iterations);
+  EXPECT_EQ(box.stats().invocations, sandboxed.iterations);
 }

@@ -261,7 +261,7 @@ TEST(SweepScheduler, Kill9MidSweepThenRestartResumesBitwiseIdentical) {
   ASSERT_TRUE(wait_for([&] {
     if (!service::file_exists(journal)) return false;
     try {
-      return experiment::tail_sweep_journal(journal).points_done >= 3;
+      return experiment::tail_sweep_journal(journal).tally.points >= 3;
     } catch (const std::exception&) {
       return false;
     }
@@ -275,8 +275,8 @@ TEST(SweepScheduler, Kill9MidSweepThenRestartResumesBitwiseIdentical) {
   EXPECT_EQ(service::list_jobs(paths.running).size(), 1u);
   const experiment::SweepProgress partial =
       experiment::tail_sweep_journal(journal);
-  ASSERT_GT(partial.points_done, 0u);
-  ASSERT_LT(partial.points_done, partial.header.n_points)
+  ASSERT_GT(partial.tally.points, 0u);
+  ASSERT_LT(partial.tally.points, partial.header.n_points)
       << "the SIGKILL must land before the sweep finished for this drill "
          "to mean anything";
 
@@ -314,7 +314,7 @@ TEST(SweepScheduler, StatusTracksTheSpoolStates) {
   EXPECT_EQ(done.state, service::JobStatus::State::Done);
   EXPECT_TRUE(done.progress.started)
       << "a finished sweep's journal remains its progress record";
-  EXPECT_EQ(done.progress.points_done, done.progress.header.n_points);
+  EXPECT_EQ(done.progress.tally.points, done.progress.header.n_points);
   EXPECT_TRUE(done.progress.has_stats);
   EXPECT_GT(done.progress.stats.traffic.scalar_bytes, 0u);
 

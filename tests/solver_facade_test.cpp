@@ -159,7 +159,7 @@ TEST(SolverFacade, FgmresBitwiseIdenticalToFreeFunction) {
   const la::Vector x = facade.solve(b, &rep);
 
   EXPECT_EQ(rep.status, direct.status);
-  EXPECT_EQ(rep.iterations, direct.outer_iterations);
+  EXPECT_EQ(rep.iterations, direct.iterations);
   EXPECT_EQ(rep.residual_norm, direct.residual_norm);
   EXPECT_EQ(rep.rank_checks, direct.rank_checks);
   EXPECT_EQ(rep.min_sigma_ratio, direct.min_sigma_ratio);
@@ -270,7 +270,7 @@ TEST(SolverFacade, FcgBitwiseIdenticalToFreeFunction) {
   solver::SolveReport rep;
   const la::Vector x = facade.solve(b, &rep);
   EXPECT_EQ(rep.status, direct.status);
-  EXPECT_EQ(rep.iterations, direct.outer_iterations);
+  EXPECT_EQ(rep.iterations, direct.iterations);
   expect_bitwise_equal(x, direct.x);
   expect_bitwise_equal(rep.residual_history, direct.residual_history);
 }
@@ -293,6 +293,36 @@ TEST(SolverFacade, FtCgBitwiseIdenticalToFreeFunction) {
   EXPECT_EQ(rep.iterations, direct.outer_iterations);
   EXPECT_EQ(rep.total_inner_iterations, direct.total_inner_iterations);
   expect_bitwise_equal(x, direct.x);
+}
+
+TEST(SolverFacade, FtCgReportCountsOuterAndInnerSyncs) {
+  // ft_cg used to report zero global syncs and zero inner applies.
+  const CsrMatrix A = gen::poisson2d(10);
+  const krylov::CsrOperator op(A);
+  const la::Vector b = la::ones(A.rows());
+  solver::Options o;
+  o.inner_iters = 10;
+  solver::FtCgSolver facade(op, o);
+  solver::SolveReport rep;
+  (void)facade.solve(b, &rep);
+
+  // The same nested solve taken apart: the FCG outer level and the
+  // records of its inner GMRES solves.
+  const krylov::FtCgOptions opts = solver::to_ft_cg_options(o);
+  krylov::InnerGmresPreconditioner inner(op, opts.inner);
+  const krylov::FcgResult outer =
+      krylov::fcg(op, b, la::zeros(A.rows()), opts.outer, inner);
+  std::size_t inner_syncs = 0;
+  std::size_t inner_applies = 0;
+  for (const krylov::InnerSolveRecord& rec : inner.records()) {
+    inner_syncs += rec.global_syncs;
+    inner_applies += rec.operator_applies;
+  }
+  EXPECT_GT(outer.global_syncs, 0u);
+  EXPECT_GT(rep.global_syncs, 0u);
+  EXPECT_EQ(rep.global_syncs, outer.global_syncs + inner_syncs);
+  EXPECT_GT(rep.operator_applies, 0u);
+  EXPECT_EQ(rep.operator_applies, inner_applies);
 }
 
 TEST(SolverFacade, HookSeamEnforced) {
