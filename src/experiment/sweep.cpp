@@ -82,9 +82,9 @@ SweepTally SweepResult::tally() const {
 namespace {
 
 /// Run \p fn inside a 1-thread OpenMP region with kernel threading pinned
-/// to 1 (the sweep determinism contract), converting any escaping
-/// exception back into a normal throw -- an exception crossing an OpenMP
-/// region boundary would call std::terminate.
+/// to 1 (the same serial kernels a sweep worker runs), converting any
+/// escaping exception back into a normal throw -- an exception crossing an
+/// OpenMP region boundary would call std::terminate.
 template <typename Fn>
 void run_pinned(Fn&& fn) {
   std::exception_ptr error;
@@ -249,12 +249,14 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
 
   SweepResult result;
 
-  // Determinism contract: the sweep owns ALL parallelism.  Every solve
-  // (baseline included) runs inside a sweep-created OpenMP region with its
-  // per-thread kernel threading pinned to 1, so the low-level dot/spmv
-  // reductions accumulate in one fixed (sequential) order no matter how
-  // many sweep workers run.  A sweep at threads == N is therefore bitwise
+  // Determinism: the kernel reductions sum in an order that depends only
+  // on the vector length (see la::dot), so every solve gives the same
+  // doubles at any thread count, and a sweep at threads == N is bitwise
   // identical to threads == 1: same points, same order, same doubles.
+  // Parallelism policy: the sweep owns ALL threads.  Every solve (baseline
+  // included) runs inside a sweep-created OpenMP region with its kernel
+  // threading pinned to 1, so N workers use N cores without
+  // oversubscription and the kernel reductions run serially.
   // (nthreads-var is a per-region ICV: the pin dies with the region.)
 
   // --- Execution backend: one assembly serves the baseline and every
@@ -396,7 +398,7 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
 #pragma omp parallel num_threads(workers)
   {
 #ifdef _OPENMP
-    omp_set_num_threads(1); // solver kernels stay serial inside a worker
+    omp_set_num_threads(1); // one core per worker: no oversubscription
 #endif
     // One reusable façade solver per worker thread: its internal nested
     // workspace (per-instance slots + staging blocks) makes every block

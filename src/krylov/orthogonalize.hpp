@@ -70,10 +70,9 @@ void orthogonalize(Orthogonalization kind,
 ///   - the hook fires once per first-pass coefficient with the same
 ///     (i, mgs_steps) sequence, each coefficient computed from the same
 ///     operands, and hook mutations are applied identically;
-///   - in serial execution (or below la::dot's OpenMP threshold) the hook
-///     values are bitwise identical to the reference path; with multiple
-///     OpenMP threads the reference path's parallel reductions combine in
-///     thread-arrival order, so values agree to reduction roundoff;
+///   - the hook values are bitwise identical to the reference path at any
+///     OpenMP thread count: la::dot, la::dot_axpy and each column of
+///     la::gemv_t sum in one order that depends only on the length;
 ///   - CGS2's second-pass corrections remain silent.
 /// The kernels differ: CGS/CGS2 projections run as one gemv_t + one gemv
 /// over the basis block, and MGS streams each column through the fused

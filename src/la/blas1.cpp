@@ -1,11 +1,12 @@
 #include "la/blas1.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -43,50 +44,73 @@ void require_same_size_t(std::span<const S> x, std::span<const S> y,
   }
 }
 
-// Sums run in one thread at or below this length.
-constexpr std::int64_t kParallelMin = 4096;
+// --- The summation order ---------------------------------------------------
+//
+// Every length-n reduction in this file (dot, dot_columns -- the core of
+// gemv_t --, nrm2, nrm1, dot_axpy) adds its terms in the one order
+// documented at la::dot: kBlock-entry blocks, kLanes interleaved
+// lanes per block combined in a fixed tree, block partials added in block
+// order.  The lanes are independent accumulator chains, so the compiler
+// vectorizes the block loop without any reassociation flag.
 
-// Sums keep one partial per thread in a fixed-size array, so their team is
-// capped at this many threads.
-constexpr int kMaxPartials = 64;
+constexpr std::int64_t kBlock = 4096;
+constexpr std::int64_t kLanes = 8;
 
-int sum_team() {
+std::int64_t block_count(std::int64_t n) { return (n + kBlock - 1) / kBlock; }
+
+// Sum of term(i) over block b of [0, n), in lane order.
+template <typename S, typename Term>
+S block_sum(std::int64_t b, std::int64_t n, Term term) {
+  std::int64_t i = b * kBlock;
+  const std::int64_t end = std::min(n, i + kBlock);
+  S lane[kLanes] = {};
+  for (; i + kLanes <= end; i += kLanes) {
+    for (std::int64_t l = 0; l < kLanes; ++l) lane[l] += term(i + l);
+  }
+  for (std::int64_t l = 0; i < end; ++i, ++l) lane[l] += term(i);
+  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+// True when a reduction over \p work terms runs on the calling thread and
+// enters no OpenMP region: at most one block of work, or a team of one
+// (sweep workers pin their kernels to one thread, and a one-thread region
+// still costs a fork, a barrier and a join per call).
+bool runs_serial(std::int64_t work) {
 #ifdef _OPENMP
-  return std::min(omp_get_max_threads(), kMaxPartials);
+  return work <= kBlock || omp_get_max_threads() == 1;
 #else
-  return 1;
+  (void)work;
+  return true;
 #endif
 }
 
-int thread_id() {
-#ifdef _OPENMP
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
+// block(b) for every block of [0, n), folded into S(0) by combine in block
+// order.  With several threads each thread owns whole blocks and writes one
+// partial per block, so the fold sees the same values either way.
+template <typename S, typename Block, typename Combine>
+S fold_blocks(std::int64_t n, Block block, Combine combine) {
+  const std::int64_t nblocks = block_count(n);
+  S acc = S(0);
+  if (runs_serial(n)) {
+    for (std::int64_t b = 0; b < nblocks; ++b) acc = combine(acc, block(b));
+    return acc;
+  }
+  std::vector<S> partial(static_cast<std::size_t>(nblocks));
+#pragma omp parallel for schedule(static)
+  for (std::int64_t b = 0; b < nblocks; ++b) {
+    partial[static_cast<std::size_t>(b)] = block(b);
+  }
+  for (const S p : partial) acc = combine(acc, p);
+  return acc;
 }
 
-// Sum of term(i) over [0, n).  An OpenMP reduction clause adds the
-// per-thread partials in the order the threads arrive, so two calls on the
-// same data could differ in the last bit.  Here each thread sums its static
-// chunk in index order and the partials are added in thread order: the
-// result depends only on the data and the team size, and a team of one is
-// the plain serial loop.
+// Sum of term(i) over [0, n) in the order above.
 template <typename S, typename Term>
 S ordered_sum(std::int64_t n, Term term) {
-  std::array<S, kMaxPartials> partial{};
-#pragma omp parallel num_threads(sum_team()) if (n > kParallelMin)
-  {
-    S part = S(0);
-#pragma omp for schedule(static) nowait
-    for (std::int64_t i = 0; i < n; ++i) {
-      part += term(i);
-    }
-    partial[static_cast<std::size_t>(thread_id())] = part;
-  }
-  S sum = S(0);
-  for (const S p : partial) sum += p;
-  return sum;
+  return fold_blocks<S>(
+      n, [&](std::int64_t b) { return block_sum<S>(b, n, term); },
+      std::plus<S>());
 }
 
 template <typename S>
@@ -98,8 +122,39 @@ S dot_t(std::span<const S> x, std::span<const S> y) {
                         [=](std::int64_t i) { return px[i] * py[i]; });
 }
 
-// The dot is summed exactly as in ordered_sum (same static chunks, same
-// thread-order combination), so the coefficient is bitwise equal to dot_t's.
+// out[j] = x . column j for the rows x cols column-major block b.  Each
+// column's block partials are the ones ordered_sum computes, added in block
+// order, so out[j] is bitwise dot_t's.  Blocks are the outer loop: a block
+// of x stays in cache while every column streams past it, and with several
+// threads each thread owns whole (block, column) partials.
+template <typename S>
+void dot_columns_t(std::int64_t rows, std::int64_t cols, const S* b,
+                   std::int64_t ld, const S* x, S* out) {
+  const auto column_block = [=](std::int64_t blk, std::int64_t j) {
+    const S* c = b + j * ld;
+    return block_sum<S>(blk, rows,
+                        [=](std::int64_t i) { return x[i] * c[i]; });
+  };
+  const std::int64_t tasks = block_count(rows) * cols;
+  std::fill(out, out + cols, S(0));
+  if (runs_serial(rows * cols)) {
+    for (std::int64_t t = 0; t < tasks; ++t) {
+      out[t % cols] += column_block(t / cols, t % cols);
+    }
+    return;
+  }
+  std::vector<S> partial(static_cast<std::size_t>(tasks));
+#pragma omp parallel for schedule(static)
+  for (std::int64_t t = 0; t < tasks; ++t) {
+    partial[static_cast<std::size_t>(t)] = column_block(t / cols, t % cols);
+  }
+  for (std::int64_t t = 0; t < tasks; ++t) {
+    out[t % cols] += partial[static_cast<std::size_t>(t)];
+  }
+}
+
+// The dot is summed exactly as in ordered_sum, so the coefficient is
+// bitwise equal to dot_t's at any team size.
 template <typename S>
 S dot_axpy_impl_t(std::span<const S> x, std::span<S> y,
                   const std::function<void(S&)>* adjust) {
@@ -107,18 +162,22 @@ S dot_axpy_impl_t(std::span<const S> x, std::span<S> y,
   const auto n = static_cast<std::int64_t>(x.size());
   const S* px = x.data();
   S* py = y.data();
-  std::array<S, kMaxPartials> partial{};
+  const auto term = [=](std::int64_t i) { return px[i] * py[i]; };
+  if (runs_serial(n)) {
+    S h = ordered_sum<S>(n, term);
+    if (adjust != nullptr) (*adjust)(h);
+    for (std::int64_t i = 0; i < n; ++i) py[i] -= h * px[i];
+    return h;
+  }
+  const std::int64_t nblocks = block_count(n);
+  std::vector<S> partial(static_cast<std::size_t>(nblocks));
   S h = S(0);
-#pragma omp parallel num_threads(sum_team()) if (n > kParallelMin) \
-    default(shared)
+#pragma omp parallel default(shared)
   {
-    S part = S(0);
-#pragma omp for schedule(static) nowait
-    for (std::int64_t i = 0; i < n; ++i) {
-      part += px[i] * py[i];
+#pragma omp for schedule(static)
+    for (std::int64_t b = 0; b < nblocks; ++b) {
+      partial[static_cast<std::size_t>(b)] = block_sum<S>(b, n, term);
     }
-    partial[static_cast<std::size_t>(thread_id())] = part;
-#pragma omp barrier
     // The hook point runs exactly once, between the dot and the
     // correction, and may mutate h.
 #pragma omp single
@@ -141,6 +200,13 @@ S dot_axpy_impl_t(std::span<const S> x, std::span<S> y,
 
 double dot(std::span<const double> x, std::span<const double> y) {
   return dot_t<double>(x, y);
+}
+
+void dot_columns(std::size_t rows, std::size_t cols, const double* b,
+                 std::size_t ld, const double* x, double* out) {
+  dot_columns_t<double>(static_cast<std::int64_t>(rows),
+                        static_cast<std::int64_t>(cols), b,
+                        static_cast<std::int64_t>(ld), x, out);
 }
 
 double nrm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
@@ -235,6 +301,13 @@ float dot(std::span<const float> x, std::span<const float> y) {
   return dot_t<float>(x, y);
 }
 
+void dot_columns(std::size_t rows, std::size_t cols, const float* b,
+                 std::size_t ld, const float* x, float* out) {
+  dot_columns_t<float>(static_cast<std::int64_t>(rows),
+                       static_cast<std::int64_t>(cols), b,
+                       static_cast<std::int64_t>(ld), x, out);
+}
+
 float nrm2(std::span<const float> x) { return std::sqrt(dot(x, x)); }
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
@@ -318,15 +391,26 @@ double nrm1(const Vector& x) {
                              [=](std::int64_t i) { return std::abs(px[i]); });
 }
 
+double nrminf(std::span<const double> x) {
+  const auto n = static_cast<std::int64_t>(x.size());
+  const double* px = x.data();
+  // A maximum is exact in any order; the blocks only share the partition
+  // and the serial path with the sums.
+  return fold_blocks<double>(
+      n,
+      [=](std::int64_t b) {
+        double best = 0.0;
+        const std::int64_t end = std::min(n, (b + 1) * kBlock);
+        for (std::int64_t i = b * kBlock; i < end; ++i) {
+          best = std::max(best, std::abs(px[i]));
+        }
+        return best;
+      },
+      [](double a, double b) { return std::max(a, b); });
+}
+
 double nrminf(const Vector& x) {
-  double best = 0.0;
-  const std::int64_t n = ssize(x);
-#pragma omp parallel for reduction(max : best) schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    const double a = std::abs(x[static_cast<std::size_t>(i)]);
-    if (a > best) best = a;
-  }
-  return best;
+  return nrminf(std::span<const double>(x.span()));
 }
 
 // The element-wise Vector overloads check (or size) their operands and

@@ -29,10 +29,25 @@ namespace sdcgmres::la {
 // bitwise identical between the two).
 
 /// Euclidean inner product over spans (identical to the Vector overload).
-/// Above 4096 entries each OpenMP thread sums a static chunk and the
-/// partials are added in thread order, so repeated calls on the same data
-/// and thread count return the same bits.
+///
+/// Summation order, shared by every reduction in this header (dot,
+/// dot_columns, nrm2, nrm1, dot_axpy) and so by la::gemv_t:
+///   - [0, n) splits into fixed blocks of 4096 entries;
+///   - inside a block, lane l (0..7) sums the terms i = l (mod 8) in index
+///     order, and the lanes combine as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7));
+///   - the block partials are added to zero in block order.
+/// The order depends only on n, so the result is bitwise identical at any
+/// OpenMP thread count.  With several threads, each thread owns whole
+/// blocks; with one thread, or one block, no OpenMP region is entered.
 [[nodiscard]] double dot(std::span<const double> x, std::span<const double> y);
+
+/// out[j] = dot(x, column j) for the rows x cols column-major block \p b
+/// (leading dimension \p ld >= rows; x has rows entries, out has cols):
+/// each out[j] is bitwise la::dot's.  One pass over b, with each 4096-entry
+/// block of x kept in cache while the columns stream past it.  The core of
+/// la::gemv_t.
+void dot_columns(std::size_t rows, std::size_t cols, const double* b,
+                 std::size_t ld, const double* x, double* out);
 
 /// 2-norm of a span.
 [[nodiscard]] double nrm2(std::span<const double> x);
@@ -61,11 +76,10 @@ void hadamard(std::span<const double> x, std::span<const double> y,
 [[nodiscard]] std::size_t count_nonfinite(std::span<const double> x);
 
 /// Fused MGS step: computes h = x.y, then y := y - h*x, in one kernel
-/// (single parallel region; one fork/join instead of two, and x is hot in
-/// cache for the correction).  The dot uses the same static chunks and the
-/// same thread-order combination of partials as dot(), so the returned
-/// coefficient is bitwise identical to the unfused dot+axpy sequence at any
-/// fixed thread count.  Returns h.
+/// (at most one parallel region; one fork/join instead of two, and x is
+/// hot in cache for the correction).  The dot is summed in dot()'s order,
+/// so the returned coefficient and the corrected y are bitwise identical to
+/// the unfused dot+axpy sequence at any thread count.  Returns h.
 double dot_axpy(std::span<const double> x, std::span<double> y);
 
 /// Instrumented variant: \p adjust runs once with the freshly computed
@@ -87,6 +101,8 @@ double dot_axpy(std::span<const double> x, std::span<double> y,
 // thresholds, and summation order mirror the double kernels one-to-one.
 
 [[nodiscard]] float dot(std::span<const float> x, std::span<const float> y);
+void dot_columns(std::size_t rows, std::size_t cols, const float* b,
+                 std::size_t ld, const float* x, float* out);
 [[nodiscard]] float nrm2(std::span<const float> x);
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
 void scal(float alpha, std::span<float> x);
@@ -107,10 +123,11 @@ float dot_axpy(std::span<const float> x, std::span<float> y,
 /// 2-norm of \p x, computed as sqrt(dot(x, x)).
 [[nodiscard]] double nrm2(const Vector& x);
 
-/// 1-norm (sum of absolute values).
+/// 1-norm (sum of absolute values, in dot()'s summation order).
 [[nodiscard]] double nrm1(const Vector& x);
 
 /// Infinity-norm (max absolute value); 0 for the empty vector.
+[[nodiscard]] double nrminf(std::span<const double> x);
 [[nodiscard]] double nrminf(const Vector& x);
 
 /// y := alpha*x + y.

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
+
+#include "la/blas1.hpp"
 
 namespace sdcgmres::la {
 
@@ -46,6 +49,22 @@ void gemv_chunk(double alpha, std::size_t rows, std::size_t cols,
   }
 }
 
+// Each y[j] is alpha * la::dot(column j, x) (+ beta * y[j]): la::dot_columns
+// carries the one summation order of blas1, so the fused CGS path sees the
+// same coefficients as the per-vector path.
+template <typename S>
+void gemv_t_columns(S alpha, std::size_t rows, std::size_t cols, const S* b,
+                    std::size_t lda, const S* x, S beta, S* y) {
+  if (beta == S(0)) {
+    dot_columns(rows, cols, b, lda, x, y);
+    for (std::size_t j = 0; j < cols; ++j) y[j] = alpha * y[j];
+    return;
+  }
+  std::vector<S> s(cols);
+  dot_columns(rows, cols, b, lda, x, s.data());
+  for (std::size_t j = 0; j < cols; ++j) y[j] = alpha * s[j] + beta * y[j];
+}
+
 } // namespace
 
 void gemv(double alpha, std::size_t rows, std::size_t cols, const double* b,
@@ -62,45 +81,7 @@ void gemv(double alpha, std::size_t rows, std::size_t cols, const double* b,
 
 void gemv_t(double alpha, std::size_t rows, std::size_t cols, const double* b,
             std::size_t lda, const double* x, double beta, double* y) {
-  const auto nblocks = static_cast<std::int64_t>((cols + 3) / 4);
-#pragma omp parallel for schedule(static) if (nblocks > 1 && rows * cols > 65536)
-  for (std::int64_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t j = static_cast<std::size_t>(blk) * 4;
-    if (j + 4 <= cols) {
-      const double* c0 = b + j * lda;
-      const double* c1 = c0 + lda;
-      const double* c2 = c1 + lda;
-      const double* c3 = c2 + lda;
-      // Four independent accumulator chains; each chain keeps the plain
-      // sequential summation order of a naive dot product.
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t i = 0; i < rows; ++i) {
-        const double xi = x[i];
-        s0 += c0[i] * xi;
-        s1 += c1[i] * xi;
-        s2 += c2[i] * xi;
-        s3 += c3[i] * xi;
-      }
-      if (beta == 0.0) {
-        y[j] = alpha * s0;
-        y[j + 1] = alpha * s1;
-        y[j + 2] = alpha * s2;
-        y[j + 3] = alpha * s3;
-      } else {
-        y[j] = alpha * s0 + beta * y[j];
-        y[j + 1] = alpha * s1 + beta * y[j + 1];
-        y[j + 2] = alpha * s2 + beta * y[j + 2];
-        y[j + 3] = alpha * s3 + beta * y[j + 3];
-      }
-    } else {
-      for (std::size_t jj = j; jj < cols; ++jj) {
-        const double* cj = b + jj * lda;
-        double s = 0.0;
-        for (std::size_t i = 0; i < rows; ++i) s += cj[i] * x[i];
-        y[jj] = (beta == 0.0) ? alpha * s : alpha * s + beta * y[jj];
-      }
-    }
-  }
+  gemv_t_columns(alpha, rows, cols, b, lda, x, beta, y);
 }
 
 void gemv(double alpha, const BasisView& q, std::span<const double> x,
@@ -181,43 +162,7 @@ void gemv(float alpha, std::size_t rows, std::size_t cols, const float* b,
 
 void gemv_t(float alpha, std::size_t rows, std::size_t cols, const float* b,
             std::size_t lda, const float* x, float beta, float* y) {
-  const auto nblocks = static_cast<std::int64_t>((cols + 3) / 4);
-#pragma omp parallel for schedule(static) if (nblocks > 1 && rows * cols > 65536)
-  for (std::int64_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t j = static_cast<std::size_t>(blk) * 4;
-    if (j + 4 <= cols) {
-      const float* c0 = b + j * lda;
-      const float* c1 = c0 + lda;
-      const float* c2 = c1 + lda;
-      const float* c3 = c2 + lda;
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      for (std::size_t i = 0; i < rows; ++i) {
-        const float xi = x[i];
-        s0 += c0[i] * xi;
-        s1 += c1[i] * xi;
-        s2 += c2[i] * xi;
-        s3 += c3[i] * xi;
-      }
-      if (beta == 0.0f) {
-        y[j] = alpha * s0;
-        y[j + 1] = alpha * s1;
-        y[j + 2] = alpha * s2;
-        y[j + 3] = alpha * s3;
-      } else {
-        y[j] = alpha * s0 + beta * y[j];
-        y[j + 1] = alpha * s1 + beta * y[j + 1];
-        y[j + 2] = alpha * s2 + beta * y[j + 2];
-        y[j + 3] = alpha * s3 + beta * y[j + 3];
-      }
-    } else {
-      for (std::size_t jj = j; jj < cols; ++jj) {
-        const float* cj = b + jj * lda;
-        float s = 0.0f;
-        for (std::size_t i = 0; i < rows; ++i) s += cj[i] * x[i];
-        y[jj] = (beta == 0.0f) ? alpha * s : alpha * s + beta * y[jj];
-      }
-    }
-  }
+  gemv_t_columns(alpha, rows, cols, b, lda, x, beta, y);
 }
 
 void gemv(float alpha, const BasisViewT<float>& q, std::span<const float> x,
@@ -304,10 +249,8 @@ double orthonormality_defect_impl(const double* data, std::size_t rows,
   double worst = 0.0;
   for (std::size_t j = 0; j < cols; ++j) {
     for (std::size_t k = j; k < cols; ++k) {
-      double sum = 0.0;
-      const double* cj = data + j * lda;
-      const double* ck = data + k * lda;
-      for (std::size_t i = 0; i < rows; ++i) sum += cj[i] * ck[i];
+      const double sum = dot(std::span<const double>(data + j * lda, rows),
+                             std::span<const double>(data + k * lda, rows));
       const double target = (j == k) ? 1.0 : 0.0;
       worst = std::max(worst, std::abs(sum - target));
     }

@@ -3,18 +3,13 @@
 /// \brief Dense level-2 kernels on DenseMatrix / Vector and on contiguous
 /// column-major blocks (KrylovBasis views).
 ///
-/// The raw kernels are blocked over columns: gemv_t interleaves four
-/// independent per-column accumulator chains (4x the instruction-level
-/// parallelism of a single latency-bound dot product, and x is streamed
-/// once per block instead of once per column), and gemv updates each y
-/// chunk once per four columns instead of once per column.  Each column's
-/// accumulation stays in plain sequential order, bitwise identical to a
-/// sequential dot product -- so the Arnoldi hook protocol observes the
-/// same projection coefficients through the fused CGS path as through the
-/// per-vector reference path: exactly, when the reference dot runs
-/// serially (below la::dot's parallel threshold, or one thread); to
-/// reduction roundoff when it runs as a multi-threaded OpenMP reduction
-/// (combine order is thread-arrival-dependent).
+/// The raw gemv kernel is blocked over columns: it updates each y chunk
+/// once per four columns instead of once per column.  gemv_t takes its
+/// column sums from la::dot_columns, each bitwise la::dot(column j, x), so
+/// every coefficient carries blas1's one summation order (see la::dot): the
+/// Arnoldi hook protocol observes bitwise the same projection coefficients
+/// through the fused CGS path as through the per-vector reference path, at
+/// any OpenMP thread count.
 
 #include <cstddef>
 #include <span>
@@ -32,8 +27,8 @@ void gemv(double alpha, std::size_t rows, std::size_t cols, const double* b,
           std::size_t lda, const double* x, double beta, double* y);
 
 /// y := alpha*B^T*x + beta*y over the same block layout.  x has rows
-/// entries, y has cols entries.  Each y[j] accumulates column j
-/// sequentially, bitwise identical to a sequential dot(col_j, x).
+/// entries, y has cols entries.  Before scaling, each y[j] is bitwise
+/// la::dot(col_j, x).
 void gemv_t(double alpha, std::size_t rows, std::size_t cols, const double* b,
             std::size_t lda, const double* x, double beta, double* y);
 
@@ -50,7 +45,7 @@ void gemv_t(double alpha, const BasisView& q, std::span<const double> x,
 // --- Float kernels (mixed-precision inner plane) ------------------------
 //
 // Concrete float overloads of the raw and BasisView gemv/gemv_t kernels:
-// same column blocking, accumulator chains, and OpenMP thresholds as the
+// same column blocking, summation order, and OpenMP thresholds as the
 // double kernels, with all arithmetic in float.
 
 void gemv(float alpha, std::size_t rows, std::size_t cols, const float* b,

@@ -5,11 +5,9 @@
 /// The SDC framework's injection/detection semantics hinge on the hook
 /// observing exactly the same projection coefficients through either path,
 /// so the first half of this file asserts bitwise equality of the hook
-/// (i, mgs_steps, value) sequences.  Problem sizes are deliberately below
-/// la::dot's OpenMP parallel threshold (4096): there both paths accumulate
-/// strictly sequentially and equality is exact.  (With multi-threaded
-/// reductions the reference path's combine order is nondeterministic, so
-/// only roundoff-level agreement is guaranteed at larger n.)  The second
+/// (i, mgs_steps, value) sequences.  Both paths sum every coefficient in
+/// la::dot's one summation order, which depends only on the length, so
+/// equality is exact at any size and any OpenMP thread count.  The second
 /// half is the numerical quality property: CGS2 on the contiguous basis
 /// must keep basis orthogonality (||Q^T Q - I||_max) no worse than the
 /// reference path on the paper's model problems.
@@ -146,7 +144,7 @@ class OrthoParity : public ::testing::TestWithParam<krylov::Orthogonalization> {
 /// fused correction combines columns in blocks).
 TEST_P(OrthoParity, HookSequenceAndCoefficientsMatchReferencePath) {
   const krylov::Orthogonalization kind = GetParam();
-  const std::size_t n = 777; // odd (block remainders), below omp threshold
+  const std::size_t n = 777; // odd (block remainders)
   const std::size_t k = 6;
   const TwinBases tb = twin_bases(n, k);
 

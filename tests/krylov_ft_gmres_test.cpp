@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "gen/convection_diffusion.hpp"
 #include "gen/poisson.hpp"
@@ -25,6 +26,21 @@ double explicit_residual(const sdcgmres::sparse::CsrMatrix& A,
   la::waxpby(1.0, b, -1.0, r, r);
   return la::nrm2(r);
 }
+
+/// Records the first MGS coefficient h(0, j) of every inner Arnoldi
+/// iteration, indexed like an InjectionPlan's aggregate iteration.
+struct FirstCoefficientRecorder final : krylov::ArnoldiHook {
+  std::vector<double> first;
+
+  void on_iteration_begin(const krylov::ArnoldiContext&) override {
+    first.push_back(std::numeric_limits<double>::quiet_NaN());
+  }
+  void on_projection_coefficient(const krylov::ArnoldiContext&,
+                                 std::size_t i, std::size_t,
+                                 double& h) override {
+    if (i == 0) first.back() = h;
+  }
+};
 
 } // namespace
 
@@ -238,19 +254,25 @@ TEST(FtGmresRecovery, RetryReliableMatchesTheFailureFreeRun) {
   // A detected class-1 fault answered with retry_reliable re-runs the
   // flagged inner solve with injection disabled, so the outer iteration
   // count must equal the failure-free baseline at EVERY site.  This
-  // config runs 7 outer x 5 inner iterations, so the sites below span
-  // several distinct inner solves.
+  // config runs 7 outer x 5 inner iterations, so the sites span several
+  // distinct inner solves.  A first pass records every site's unfaulted
+  // coefficient: where it is exactly zero (Poisson is symmetric, so some
+  // h(0, j) vanish in exact arithmetic and can round to 0), the scaled
+  // fault is still zero and the run must be the failure-free one.
   const auto A = gen::poisson2d(10);
   const la::Vector b = la::ones(100);
   krylov::FtGmresOptions opts;
   opts.outer.tol = 1e-8;
   opts.inner.max_iters = 5;
-  const auto baseline = krylov::ft_gmres(A, b, opts);
+  FirstCoefficientRecorder recorder;
+  const auto baseline = krylov::ft_gmres(A, b, opts, &recorder);
   ASSERT_EQ(baseline.status, krylov::SolveStatus::Converged);
+  ASSERT_EQ(recorder.first.size(), baseline.total_inner_iterations);
 
   opts.recovery = krylov::InnerRecovery::RetryReliable;
   const double bound = A.frobenius_norm();
-  for (std::size_t site : {0u, 7u, 15u, 23u}) {
+  std::size_t retried_sites = 0;
+  for (std::size_t site = 0; site < recorder.first.size(); ++site) {
     sdc::FaultCampaign campaign(sdc::InjectionPlan::hessenberg(
         site, sdc::MgsPosition::First, sdc::fault_classes::very_large()));
     sdc::HessenbergBoundDetector detector(
@@ -258,13 +280,21 @@ TEST(FtGmresRecovery, RetryReliableMatchesTheFailureFreeRun) {
     krylov::HookChain chain({&campaign, &detector});
     const auto res = krylov::ft_gmres(A, b, opts, &chain);
     ASSERT_TRUE(campaign.fired()) << "site " << site;
-    ASSERT_TRUE(detector.triggered()) << "site " << site;
     EXPECT_EQ(res.status, krylov::SolveStatus::Converged);
-    EXPECT_EQ(res.reliable_retries, 1u);
     EXPECT_EQ(res.outer_iterations, baseline.outer_iterations)
         << "site " << site;
     EXPECT_EQ(res.x, baseline.x) << "site " << site; // bitwise identical
+    if (recorder.first[site] == 0.0) {
+      // Harmless SDC: nothing to detect, nothing to retry.
+      EXPECT_FALSE(detector.triggered()) << "site " << site;
+      EXPECT_EQ(res.reliable_retries, 0u) << "site " << site;
+    } else {
+      EXPECT_TRUE(detector.triggered()) << "site " << site;
+      EXPECT_EQ(res.reliable_retries, 1u) << "site " << site;
+      ++retried_sites;
+    }
   }
+  EXPECT_GT(retried_sites, recorder.first.size() / 2);
 }
 
 TEST(FtGmresRecovery, RetryRecordCarriesTheCombinedEffort) {

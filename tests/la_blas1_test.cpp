@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "la/blas1.hpp"
+#include "la/blas2.hpp"
+#include "la/krylov_basis.hpp"
+#include "reference_sum_order.hpp"
 
 namespace la = sdcgmres::la;
 
@@ -143,9 +153,7 @@ TEST(Blas1Finite, NegativeInfCounts) {
 // --- Fused dot_axpy (the MGS hot-path kernel) -------------------------------
 
 TEST(Blas1DotAxpy, BitwiseMatchesUnfusedDotThenAxpyAtSerialSize) {
-  // Below the OpenMP threshold both kernels accumulate in plain sequential
-  // order, so equality is bitwise.  (Above the threshold the reduction's
-  // combine order is thread-arrival-dependent; see the test below.)
+  // One block: both kernels sum in the same lane order on one thread.
   const std::size_t n = 4000;
   la::Vector q(n), v(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -164,9 +172,9 @@ TEST(Blas1DotAxpy, BitwiseMatchesUnfusedDotThenAxpyAtSerialSize) {
 }
 
 TEST(Blas1DotAxpy, MatchesUnfusedDotThenAxpyAboveParallelThreshold) {
-  // Crosses the OpenMP threshold: with several threads, two separate
-  // parallel reductions may combine partials in different orders, so only
-  // near-equality (to reduction roundoff) is guaranteed here.
+  // Two blocks, so with several threads both kernels take the parallel
+  // path; the block partials combine in block order, so equality stays
+  // bitwise at any team size.
   const std::size_t n = 5000;
   la::Vector q(n), v(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -178,9 +186,9 @@ TEST(Blas1DotAxpy, MatchesUnfusedDotThenAxpyAboveParallelThreshold) {
   la::axpy(-h_ref, q, v_ref);
 
   const double h = la::dot_axpy(q.span(), v.span());
-  EXPECT_NEAR(h, h_ref, 1e-12 * (1.0 + std::abs(h_ref)));
+  EXPECT_EQ(h, h_ref);
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(v[i], v_ref[i], 1e-12) << "i=" << i;
+    EXPECT_EQ(v[i], v_ref[i]) << "i=" << i;
   }
 }
 
@@ -218,4 +226,131 @@ TEST(Blas1SpanOverloads, MatchVectorOverloadsBitwise) {
   la::axpy(0.37, x, y1);
   la::axpy(0.37, x.span(), y2.span());
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(y1[i], y2[i]);
+}
+
+// --- Thread-count invariance ------------------------------------------------
+
+namespace {
+
+// Every reduction of one precision on one input, as plain values.
+template <typename S>
+struct Reductions {
+  S dot{};
+  S nrm2{};
+  S fused_h{};
+  std::vector<S> fused_y;
+  S adjusted_seen{};
+  S adjusted_h{};
+  std::vector<S> adjusted_y;
+  std::vector<S> gemv_t;
+
+  bool operator==(const Reductions&) const = default;
+};
+
+template <typename S>
+std::vector<S> wave(std::size_t n, double freq, double shift) {
+  std::vector<S> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<S>(std::sin(freq * static_cast<double>(i) + shift) +
+                          0.1 * shift);
+  }
+  return v;
+}
+
+template <typename S>
+Reductions<S> reductions(const std::vector<S>& x, const std::vector<S>& y,
+                         const la::KrylovBasisT<S>& basis) {
+  Reductions<S> r;
+  const std::span<const S> xs(x);
+  r.dot = la::dot(xs, std::span<const S>(y));
+  r.nrm2 = la::nrm2(xs);
+  r.fused_y = y;
+  r.fused_h = la::dot_axpy(xs, std::span<S>(r.fused_y));
+  r.adjusted_y = y;
+  r.adjusted_h = la::dot_axpy(xs, std::span<S>(r.adjusted_y), [&](S& c) {
+    r.adjusted_seen = c;
+    c = c * S(0.5) + S(1); // a mutated coefficient, as an injection would
+  });
+  r.gemv_t.assign(basis.cols(), S(0));
+  la::gemv_t(S(1), basis.view(), xs, S(0), std::span<S>(r.gemv_t));
+  return r;
+}
+
+template <typename S>
+la::KrylovBasisT<S> three_columns(std::size_t n) {
+  la::KrylovBasisT<S> basis(n, 3);
+  for (std::size_t c = 0; c < 3; ++c) {
+    const std::vector<S> v = wave<S>(n, 0.37 + 0.2 * static_cast<double>(c),
+                                     static_cast<double>(c));
+    basis.append(std::span<const S>(v));
+  }
+  return basis;
+}
+
+class TeamSize {
+public:
+  explicit TeamSize(int threads) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+  }
+  ~TeamSize() {
+#ifdef _OPENMP
+    omp_set_num_threads(saved_);
+#endif
+  }
+  TeamSize(const TeamSize&) = delete;
+  TeamSize& operator=(const TeamSize&) = delete;
+
+private:
+#ifdef _OPENMP
+  int saved_ = omp_get_max_threads();
+#endif
+};
+
+template <typename S>
+void expect_invariant_across_team_sizes(std::size_t n) {
+  const std::vector<S> x = wave<S>(n, 0.71, 0.3);
+  const std::vector<S> y = wave<S>(n, 0.29, 1.7);
+  const la::KrylovBasisT<S> basis = three_columns<S>(n);
+  Reductions<S> serial;
+  {
+    const TeamSize team(1);
+    serial = reductions(x, y, basis);
+  }
+  EXPECT_EQ(serial.dot, sdcgmres::reference::dot<S>(x, y)) << "n " << n;
+  for (const int threads : {2, 3, 4}) {
+    const TeamSize team(threads);
+    EXPECT_TRUE(reductions(x, y, basis) == serial)
+        << "n " << n << " threads " << threads;
+  }
+}
+
+} // namespace
+
+TEST(Blas1ThreadInvariance, ReductionsAreBitwiseIdenticalAtEveryTeamSize) {
+  for (const std::size_t n :
+       {0u, 1u, 7u, 4095u, 4096u, 4097u, 3u * 4096u + 5u, 100003u}) {
+    expect_invariant_across_team_sizes<double>(n);
+    expect_invariant_across_team_sizes<float>(n);
+
+    la::Vector v(n);
+    const std::vector<double> entries = wave<double>(n, 0.53, 2.1);
+    la::copy(std::span<const double>(entries), v.span());
+    double nrm1_serial = 0.0;
+    double nrminf_serial = 0.0;
+    {
+      const TeamSize team(1);
+      nrm1_serial = la::nrm1(v);
+      nrminf_serial = la::nrminf(v);
+    }
+    for (const int threads : {2, 3, 4}) {
+      const TeamSize team(threads);
+      EXPECT_EQ(la::nrm1(v), nrm1_serial) << "n " << n << " threads " << threads;
+      EXPECT_EQ(la::nrminf(v), nrminf_serial)
+          << "n " << n << " threads " << threads;
+    }
+  }
 }

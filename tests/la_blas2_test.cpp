@@ -6,6 +6,7 @@
 
 #include "la/blas2.hpp"
 #include "la/krylov_basis.hpp"
+#include "reference_sum_order.hpp"
 
 namespace la = sdcgmres::la;
 
@@ -125,21 +126,21 @@ TEST(Blas2Gemv, BetaZeroOverwritesNonFiniteY) {
   for (std::size_t i = 0; i < 6; ++i) EXPECT_TRUE(std::isfinite(y[i]));
 }
 
-/// Each gemv_t coefficient keeps the sequential accumulation order of a
-/// naive dot product: bitwise equality, not just closeness.  This is what
-/// makes the fused CGS hook values identical to the per-vector path.
-TEST(Blas2GemvT, CoefficientsBitwiseMatchSequentialDot) {
-  const std::size_t rows = 4099; // not a multiple of anything convenient
+/// Each gemv_t coefficient is summed in la::dot's documented order:
+/// bitwise equality with the scalar reference, not just closeness.  This is
+/// what makes the fused CGS hook values identical to the per-vector path.
+TEST(Blas2GemvT, CoefficientsBitwiseMatchReferenceOrderDot) {
   const std::size_t cols = 7;
-  const auto b = test_basis(rows, cols);
-  const auto x = test_vector(rows, 0.8);
-  std::vector<double> y(cols, 0.0);
-  la::gemv_t(1.0, b.view(cols), x.span(), 0.0, y);
-  for (std::size_t j = 0; j < cols; ++j) {
-    double ref = 0.0;
-    const std::span<const double> cj = b.col(j);
-    for (std::size_t i = 0; i < rows; ++i) ref += cj[i] * x[i];
-    EXPECT_EQ(y[j], ref) << "column " << j;
+  // One short block, a block plus one, and three blocks plus a ragged tail.
+  for (const std::size_t rows : {257u, 4097u, 3u * 4096u + 5u}) {
+    const auto b = test_basis(rows, cols);
+    const auto x = test_vector(rows, 0.8);
+    std::vector<double> y(cols, 0.0);
+    la::gemv_t(1.0, b.view(cols), x.span(), 0.0, y);
+    for (std::size_t j = 0; j < cols; ++j) {
+      EXPECT_EQ(y[j], sdcgmres::reference::dot<double>(b.col(j), x.span()))
+          << "rows " << rows << " column " << j;
+    }
   }
 }
 

@@ -1,9 +1,10 @@
 /// \file la_float_kernels_test.cpp
 /// \brief Float instantiations of the BLAS-1/2 span kernels (the
 /// mixed-precision inner plane): each kernel against a plain reference
-/// loop in float, plus the structural properties the double tests pin
-/// down (fused dot_axpy == dot + axpy in serial order, hook protocol,
-/// gemv_t == per-column dots).
+/// loop in float (the dot against the scalar reference of la::dot's
+/// summation order), plus the structural properties the double tests pin
+/// down (fused dot_axpy == dot + axpy, hook protocol, gemv_t == per-column
+/// dots).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "la/blas1.hpp"
 #include "la/blas2.hpp"
 #include "la/krylov_basis.hpp"
+#include "reference_sum_order.hpp"
 
 namespace la = sdcgmres::la;
 
@@ -31,13 +33,14 @@ std::vector<float> test_vec(std::size_t n, float phase) {
 
 } // namespace
 
-TEST(LaFloatKernels, DotMatchesSequentialReference) {
-  const auto x = test_vec(257, 0.3f);
-  const auto y = test_vec(257, 1.1f);
-  float ref = 0.0f;
-  for (std::size_t i = 0; i < x.size(); ++i) ref += x[i] * y[i];
-  EXPECT_EQ(la::dot(std::span<const float>(x), std::span<const float>(y)),
-            ref);
+TEST(LaFloatKernels, DotMatchesReferenceOrder) {
+  for (const std::size_t n : {257u, 4097u, 3u * 4096u + 5u}) {
+    const auto x = test_vec(n, 0.3f);
+    const auto y = test_vec(n, 1.1f);
+    EXPECT_EQ(la::dot(std::span<const float>(x), std::span<const float>(y)),
+              sdcgmres::reference::dot<float>(x, y))
+        << "n " << n;
+  }
 }
 
 TEST(LaFloatKernels, Nrm2IsSqrtOfSelfDot) {
@@ -114,8 +117,9 @@ TEST(LaFloatKernels, DotAxpyHookObservesAndMutatesCoefficient) {
 }
 
 TEST(LaFloatKernels, GemvTMatchesPerColumnDots) {
-  // Basis with 5 columns of length 200; gemv_t must produce each y[j] in
-  // sequential dot order (the CGS fusion contract of the double kernel).
+  // Basis with 5 columns of length 200; gemv_t must produce each y[j]
+  // bitwise equal to la::dot (the CGS fusion contract of the double
+  // kernel).
   const std::size_t n = 200, cols = 5;
   la::KrylovBasisT<float> q(n, cols);
   for (std::size_t c = 0; c < cols; ++c) {

@@ -6,6 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "gen/poisson.hpp"
 #include "gen/random_sparse.hpp"
@@ -227,6 +232,46 @@ TEST(SolverFacade, WorkspaceReuseAcrossSolvesStaysBitwise) {
   const la::Vector x2 = facade.solve(b, &r2);
   EXPECT_EQ(r1.iterations, r2.iterations);
   expect_bitwise_equal(x1, x2);
+}
+
+TEST(SolverFacade, FtGmresBitwiseIdenticalAtEveryThreadCount) {
+  // 10^4 rows: every Krylov inner product spans several summation blocks,
+  // so with more than one thread the kernels take their parallel paths.
+  // The summation order depends only on the length, so the whole solve is
+  // bitwise identical at any OpenMP team size.  A short solve (3 outer x
+  // 10 inner iterations) already feeds every kernel result into x, and
+  // keeps the test quick when other multi-threaded tests share the cores.
+  const CsrMatrix A = gen::poisson2d(100);
+  const krylov::CsrOperator op(A);
+  const la::Vector b = la::ones(A.rows());
+  solver::Options o;
+  o.inner_iters = 10;
+  o.max_iters = 3;
+
+  std::vector<la::Vector> xs;
+  std::vector<solver::SolveReport> reps;
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  for (const int threads : {1, 2, 4}) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+    solver::FtGmresSolver facade(op, o);
+    reps.emplace_back();
+    xs.push_back(facade.solve(b, &reps.back()));
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+  ASSERT_EQ(reps[0].iterations, 3u);
+  for (std::size_t t = 1; t < xs.size(); ++t) {
+    EXPECT_EQ(reps[t].iterations, reps[0].iterations) << "run " << t;
+    EXPECT_EQ(reps[t].global_syncs, reps[0].global_syncs) << "run " << t;
+    expect_bitwise_equal(xs[t], xs[0]);
+  }
 }
 
 TEST(SolverFacade, CgBitwiseIdenticalToFreeFunction) {
