@@ -49,15 +49,6 @@ inline la::Vector poisson_rhs(const sparse::CsrMatrix& A) {
   return la::ones(A.rows());
 }
 
-/// Right-hand side for the circuit experiments: b = A*1.  With
-/// kappa ~ 1e13 an arbitrary rhs would demand solution components of size
-/// ~1e13, beyond what double-precision residuals can certify to 1e-8; a
-/// consistent rhs keeps the solve in the regime the paper ran in (see
-/// EXPERIMENTS.md).
-inline la::Vector circuit_rhs(const sparse::CsrMatrix& A) {
-  return A.apply(la::ones(A.rows()));
-}
-
 /// Injection-site stride for the sweeps (1 = every site, the paper's
 /// protocol; the default samples to bound runtime on the bigger sweeps).
 /// SDCGMRES_STRIDE overrides both modes, e.g. SDCGMRES_FULL=1
@@ -70,21 +61,13 @@ inline std::size_t sweep_stride(std::size_t dflt) {
   return full_scale() ? 1 : dflt;
 }
 
-/// Directory for CSV dumps of every sweep (empty = disabled).  Set
-/// SDCGMRES_CSV_DIR=path to save `<bench>_<series>.csv` files alongside
-/// the printed output, for external plotting of the figures.
-inline std::string csv_dir() {
-  const char* env = std::getenv("SDCGMRES_CSV_DIR");
-  return env != nullptr ? std::string(env) : std::string();
-}
-
 /// Parsed bench/example command line, built on the same
 /// experiment::ScenarioSpec parser as the `sdc_run` example so every
-/// harness shares one flag vocabulary: `--threads N`, `--json F` (or the
-/// legacy `--sweep-json F`), `--n N`, any bench-specific flags the caller
-/// declares, plus free-form `key=value` scenario tokens.  Tokens the
-/// parser does not recognize are collected for passthrough (argv[0]
-/// first), which is how bench_kernels forwards --benchmark_* arguments.
+/// harness shares one flag vocabulary: `--threads N`, `--json F`,
+/// `--n N`, any bench-specific flags the caller declares, plus free-form
+/// `key=value` scenario tokens.  Tokens the parser does not recognize are
+/// collected for passthrough (argv[0] first), which is how bench_kernels
+/// forwards --benchmark_* arguments.
 struct CliArgs {
   experiment::ScenarioSpec spec; ///< every recognized flag, as key=value
   std::vector<char*> passthrough; ///< unrecognized tokens, argv[0] first
@@ -96,17 +79,16 @@ struct CliArgs {
 
 /// Parse \p argv.  \p value_flags declares bench-specific `--flag value`
 /// pairs and \p bool_flags valueless `--flag` switches, both stored in
-/// the spec under the flag name (booleans as "1"); `--threads/--json/
-/// --sweep-json/--n` are always recognized.  Malformed values exit(1)
-/// with a message (bench binaries have no caller to rethrow to).
+/// the spec under the flag name (booleans as "1"); `--threads/--json/--n`
+/// are always recognized.  Malformed values exit(1) with a message (bench
+/// binaries have no caller to rethrow to).
 inline CliArgs parse_cli(int argc, char** argv,
                          std::initializer_list<std::string_view> value_flags = {},
                          std::initializer_list<std::string_view> bool_flags = {}) {
   CliArgs args;
   args.passthrough.push_back(argv[0]);
   const auto known = [&](std::string_view name) {
-    static constexpr std::string_view shared[] = {"threads", "json",
-                                                  "sweep-json", "n"};
+    static constexpr std::string_view shared[] = {"threads", "json", "n"};
     return std::find(std::begin(shared), std::end(shared), name) !=
                std::end(shared) ||
            std::find(value_flags.begin(), value_flags.end(), name) !=
@@ -135,7 +117,7 @@ inline CliArgs parse_cli(int argc, char** argv,
       }
     }
     args.threads = args.spec.get_size("threads", 1);
-    args.json = args.spec.get("json", args.spec.get("sweep-json"));
+    args.json = args.spec.get("json");
     args.n = args.spec.get_size("n", 0);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";

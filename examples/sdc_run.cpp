@@ -28,6 +28,9 @@
 ///   --list              print every registered solver/preconditioner/
 ///                       matrix/fault-model/detector/backend name and exit
 ///   --json FILE         also write a machine-readable result to FILE
+///   --csv FILE          (sweep mode) also write the sweep as CSV to FILE
+///                       (site,outer_iterations,converged,injected,
+///                       detected,residual -- one row per figure point)
 ///   --threads N         shorthand for the threads=N spec key (sweep
 ///                       worker threads; 0 = all hardware threads)
 ///   --batch N           shorthand for the batch=N spec key (injection
@@ -48,6 +51,11 @@
 ///                       code 2 unless the result is identical -- the
 ///                       determinism check CI runs: lockstep batch=B
 ///                       against batch-of-one
+///
+/// A sweep prints the paper's figure series (site : outer iterations,
+/// '|' at each inner-solve boundary of inner=) above its summary line.
+/// bench/paper.sh runs every Fig. 3/Fig. 4 cell and both sweep
+/// ablations through this program.
 ///
 /// Exit code: 0 on success (converged solve / identical sweep), 1 on a
 /// non-converged solve or spec error, 2 on a sweep determinism mismatch.
@@ -81,10 +89,25 @@ void print_registries() {
   print("backends", solver::backend_registry().keys());
 }
 
+/// Write \p path through \p write (nothing when \p path is empty); false
+/// after a message when the file cannot be opened.
+template <typename Write>
+bool write_file(const std::string& path, Write write) {
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "sdc_run: cannot write " << path << "\n";
+    return false;
+  }
+  write(out);
+  return true;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
   std::string json_path;
+  std::string csv_path;
   bool assert_identical = false;
   experiment::ScenarioSeams seams;
   std::ostringstream spec_text;
@@ -94,12 +117,12 @@ int main(int argc, char** argv) {
       print_registries();
       return 0;
     }
-    if (tok == "--json") {
+    if (tok == "--json" || tok == "--csv") {
       if (i + 1 >= argc) {
-        std::cerr << "--json requires a value\n";
+        std::cerr << tok << " requires a value\n";
         return 1;
       }
-      json_path = argv[++i];
+      (tok == "--json" ? json_path : csv_path) = argv[++i];
       continue;
     }
     if (tok == "--journal") {
@@ -140,6 +163,10 @@ int main(int argc, char** argv) {
       std::cerr << "sdc_run: --resume needs --journal PATH\n";
       return 1;
     }
+    if (!csv_path.empty() && !spec.get_bool("sweep", false)) {
+      std::cerr << "sdc_run: --csv writes a sweep's points; add sweep=1\n";
+      return 1;
+    }
     experiment::ScenarioResult result =
         experiment::run_scenario(spec, seams);
     std::cout << "spec:   " << result.spec_text << "\n"
@@ -161,17 +188,17 @@ int main(int argc, char** argv) {
                   << ", detector "
                   << (result.detected ? "triggered" : "silent") << "\n";
       }
-      if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        if (!out) {
-          std::cerr << "sdc_run: cannot write " << json_path << "\n";
-          return 1;
-        }
-        experiment::write_solve_json(out, result);
+      if (!write_file(json_path, [&](std::ostream& out) {
+            experiment::write_solve_json(out, result);
+          })) {
+        return 1;
       }
       return result.report.converged() ? 0 : 1;
     }
 
+    experiment::print_sweep_series(
+        std::cout, "sweep", result.sweep,
+        spec.get_size("inner", solver::Options{}.inner_iters));
     experiment::print_sweep_summary(std::cout, "sweep", result.sweep);
     if (result.sharded) {
       std::cout << "shard: ranges=" << result.shard.ranges
@@ -200,14 +227,16 @@ int main(int argc, char** argv) {
                 << " vs serial batch=1): " << (identical ? "true" : "false")
                 << "\n";
     }
-    if (!json_path.empty()) {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::cerr << "sdc_run: cannot write " << json_path << "\n";
-        return 1;
-      }
-      experiment::write_sweep_json(out, result, assert_identical, identical);
-    }
+    const bool written =
+        write_file(csv_path,
+                   [&](std::ostream& out) {
+                     experiment::write_sweep_csv(out, result.sweep);
+                   }) &&
+        write_file(json_path, [&](std::ostream& out) {
+          experiment::write_sweep_json(out, result, assert_identical,
+                                       identical);
+        });
+    if (!written) return 1;
     return identical ? 0 : 2;
   } catch (const std::exception& e) {
     std::cerr << "sdc_run: " << e.what() << "\n";

@@ -20,8 +20,10 @@ CgResult cg(const LinearOperator& A, const la::Vector& b, const la::Vector& x0,
   result.x = x0;
 
   la::Vector r(n);
+  ++result.operator_applies;
   A.apply(result.x, r);
   la::waxpby(1.0, b, -1.0, r, r);
+  ++result.global_syncs; // ||b||
   const double bnorm = la::nrm2(b);
   const double abs_target = opts.tol * (bnorm > 0.0 ? bnorm : 1.0);
 
@@ -33,7 +35,9 @@ CgResult cg(const LinearOperator& A, const la::Vector& b, const la::Vector& x0,
   }
   la::Vector p = z;
   la::Vector ap(n);
+  ++result.global_syncs; // <r, z>
   double rz = la::dot(r, z);
+  ++result.global_syncs; // ||r0||
   result.residual_norm = la::nrm2(r);
 
   for (std::size_t it = 0; it < opts.max_iters; ++it) {
@@ -41,7 +45,9 @@ CgResult cg(const LinearOperator& A, const la::Vector& b, const la::Vector& x0,
       result.converged = true;
       return result;
     }
+    ++result.operator_applies;
     A.apply(p, ap);
+    ++result.global_syncs; // p^T A p
     const double pap = la::dot(p, ap);
     if (pap <= 0.0 || !std::isfinite(pap)) {
       result.indefinite = true;
@@ -50,6 +56,7 @@ CgResult cg(const LinearOperator& A, const la::Vector& b, const la::Vector& x0,
     const double alpha = rz / pap;
     la::axpy(alpha, p, result.x);
     la::axpy(-alpha, ap, r);
+    ++result.global_syncs; // ||r||
     result.residual_norm = la::nrm2(r);
     result.residual_history.push_back(result.residual_norm);
     result.iterations = it + 1;
@@ -59,6 +66,7 @@ CgResult cg(const LinearOperator& A, const la::Vector& b, const la::Vector& x0,
     } else {
       la::copy(r, z);
     }
+    ++result.global_syncs; // <r, z>
     const double rz_next = la::dot(r, z);
     const double beta = rz_next / rz;
     la::waxpby(1.0, z, beta, p, p);

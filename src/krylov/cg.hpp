@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "krylov/counters.hpp"
 #include "krylov/operator.hpp"
 #include "krylov/precond.hpp"
 #include "la/vector.hpp"
@@ -24,12 +25,13 @@ struct CgOptions {
   const Preconditioner* precond = nullptr; ///< optional SPD preconditioner
 };
 
-/// Result of a CG solve.
-struct CgResult {
+/// Result of a CG solve.  Counts one operator apply per A*v and one global
+/// sync per inner product or norm: 3 + 3k syncs and 1 + k applies for k
+/// completed iterations.
+struct CgResult : LevelCounters {
   la::Vector x;
   bool converged = false;
   bool indefinite = false;  ///< p^T A p <= 0 observed: A not SPD
-  std::size_t iterations = 0;
   double residual_norm = 0.0;
   std::vector<double> residual_history;
 };

@@ -6,7 +6,8 @@
 /// carries its counters by deriving from one of the aggregates below:
 ///
 ///   LevelCounters   GmresStats/GmresResult, InnerSolveRecord,
-///                   FgmresResult, FcgResult, solver::SolveReport
+///                   FgmresResult, FcgResult, CgResult,
+///                   solver::SolveReport
 ///   NestedCounters  FtGmresResult, FtCgResult
 ///   SolveCounters   experiment::SweepPoint, experiment::SweepTally
 ///
@@ -27,8 +28,8 @@ namespace sdcgmres::krylov {
 /// at every threads/batch/workers setting.
 struct SolveCounters {
   /// Operator products consumed (one per GMRES restart-cycle residual
-  /// and Arnoldi iteration), whether they ran as solo SpMVs or as fused
-  /// SpMM columns.  The reliable outer levels (FGMRES, FCG) leave theirs
+  /// and Arnoldi iteration, one per CG product), whether they ran as solo
+  /// SpMVs or as fused SpMM columns.  The reliable outer levels (FGMRES, FCG) leave theirs
   /// to OperatorStats, so a nested solve counts its inner solves'.
   std::size_t operator_applies = 0;
   /// Global reductions: every norm and every (blocked) inner-product pass

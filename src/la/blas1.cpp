@@ -27,14 +27,6 @@ void require_same_size(const Vector& x, const Vector& y, const char* what) {
 // below 2^63 so the narrowing is safe.
 std::int64_t ssize(const Vector& x) { return static_cast<std::int64_t>(x.size()); }
 
-void require_same_size(std::span<const double> x, std::span<const double> y,
-                       const char* what) {
-  if (x.size() != y.size()) {
-    throw std::invalid_argument(std::string("la::") + what +
-                                ": span size mismatch");
-  }
-}
-
 template <typename S>
 void require_same_size_t(std::span<const S> x, std::span<const S> y,
                          const char* what) {
@@ -196,6 +188,70 @@ S dot_axpy_impl_t(std::span<const S> x, std::span<S> y,
   return h;
 }
 
+// --- Element-wise kernels ---------------------------------------------------
+//
+// Each entry is written once from its own operands, so no split of [0, n)
+// changes a bit; the threads only share runs_serial's rule for when a
+// parallel region is worth entering.
+
+// body(i) for every i in [0, n).
+template <typename Body>
+void for_each_index(std::int64_t n, Body body) {
+  if (runs_serial(n)) {
+    for (std::int64_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+#pragma omp parallel for schedule(static)
+  for (std::int64_t i = 0; i < n; ++i) body(i);
+}
+
+template <typename S>
+void axpy_t(S alpha, std::span<const S> x, std::span<S> y) {
+  require_same_size_t<S>(x, std::span<const S>(y), "axpy");
+  const S* px = x.data();
+  S* py = y.data();
+  for_each_index(static_cast<std::int64_t>(x.size()),
+                 [=](std::int64_t i) { py[i] += alpha * px[i]; });
+}
+
+template <typename S>
+void scal_t(S alpha, std::span<S> x) {
+  S* px = x.data();
+  for_each_index(static_cast<std::int64_t>(x.size()),
+                 [=](std::int64_t i) { px[i] *= alpha; });
+}
+
+template <typename S>
+void copy_t(std::span<const S> x, std::span<S> y) {
+  require_same_size_t<S>(x, std::span<const S>(y), "copy");
+  const S* px = x.data();
+  S* py = y.data();
+  for_each_index(static_cast<std::int64_t>(x.size()),
+                 [=](std::int64_t i) { py[i] = px[i]; });
+}
+
+template <typename S>
+void waxpby_t(S alpha, std::span<const S> x, S beta, std::span<const S> y,
+              std::span<S> w) {
+  require_same_size_t<S>(x, y, "waxpby");
+  require_same_size_t<S>(x, std::span<const S>(w), "waxpby");
+  const S* px = x.data();
+  const S* py = y.data();
+  S* pw = w.data();
+  for_each_index(static_cast<std::int64_t>(x.size()), [=](std::int64_t i) {
+    pw[i] = alpha * px[i] + beta * py[i];
+  });
+}
+
+// An integer count is exact in any order; it shares the sums' blocks.
+template <typename S>
+std::size_t count_nonfinite_t(std::span<const S> x) {
+  const S* px = x.data();
+  return static_cast<std::size_t>(ordered_sum<std::int64_t>(
+      static_cast<std::int64_t>(x.size()),
+      [=](std::int64_t i) { return std::int64_t{!std::isfinite(px[i])}; }));
+}
+
 } // namespace
 
 double dot(std::span<const double> x, std::span<const double> y) {
@@ -212,75 +268,35 @@ void dot_columns(std::size_t rows, std::size_t cols, const double* b,
 double nrm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  require_same_size(x, y, "axpy");
-  const auto n = static_cast<std::int64_t>(x.size());
-  const double* px = x.data();
-  double* py = y.data();
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    py[i] += alpha * px[i];
-  }
+  axpy_t<double>(alpha, x, y);
 }
 
-void scal(double alpha, std::span<double> x) {
-  const auto n = static_cast<std::int64_t>(x.size());
-  double* px = x.data();
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    px[i] *= alpha;
-  }
-}
+void scal(double alpha, std::span<double> x) { scal_t<double>(alpha, x); }
 
 void copy(std::span<const double> x, std::span<double> y) {
-  require_same_size(x, y, "copy");
-  const auto n = static_cast<std::int64_t>(x.size());
-  const double* px = x.data();
-  double* py = y.data();
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    py[i] = px[i];
-  }
+  copy_t<double>(x, y);
 }
 
 void waxpby(double alpha, std::span<const double> x, double beta,
             std::span<const double> y, std::span<double> w) {
-  require_same_size(x, y, "waxpby");
-  require_same_size(x, std::span<const double>(w), "waxpby");
-  const auto n = static_cast<std::int64_t>(x.size());
-  const double* px = x.data();
-  const double* py = y.data();
-  double* pw = w.data();
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    pw[i] = alpha * px[i] + beta * py[i];
-  }
+  waxpby_t<double>(alpha, x, beta, y, w);
 }
 
 void hadamard(std::span<const double> x, std::span<const double> y,
               std::span<double> z) {
-  require_same_size(x, y, "hadamard");
-  require_same_size(x, std::span<const double>(z), "hadamard");
-  const auto n = static_cast<std::int64_t>(x.size());
+  require_same_size_t<double>(x, y, "hadamard");
+  require_same_size_t<double>(x, std::span<const double>(z), "hadamard");
   const double* px = x.data();
   const double* py = y.data();
   double* pz = z.data();
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    pz[i] = px[i] * py[i];
-  }
+  for_each_index(static_cast<std::int64_t>(x.size()),
+                 [=](std::int64_t i) { pz[i] = px[i] * py[i]; });
 }
 
 bool all_finite(std::span<const double> x) { return count_nonfinite(x) == 0; }
 
 std::size_t count_nonfinite(std::span<const double> x) {
-  std::int64_t bad = 0;
-  const auto n = static_cast<std::int64_t>(x.size());
-  const double* px = x.data();
-#pragma omp parallel for reduction(+ : bad) schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!std::isfinite(px[i])) ++bad;
-  }
-  return static_cast<std::size_t>(bad);
+  return count_nonfinite_t<double>(x);
 }
 
 double dot_axpy(std::span<const double> x, std::span<double> y) {
@@ -294,8 +310,7 @@ double dot_axpy(std::span<const double> x, std::span<double> y,
 
 // --- Float kernels ----------------------------------------------------------
 //
-// Same loops, thresholds, and summation order as the double kernels above;
-// the sums share the templates at the top of this file.
+// The same templates as the double kernels above.
 
 float dot(std::span<const float> x, std::span<const float> y) {
   return dot_t<float>(x, y);
@@ -311,61 +326,24 @@ void dot_columns(std::size_t rows, std::size_t cols, const float* b,
 float nrm2(std::span<const float> x) { return std::sqrt(dot(x, x)); }
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
-  require_same_size_t<float>(x, std::span<const float>(y), "axpy");
-  const auto n = static_cast<std::int64_t>(x.size());
-  const float* px = x.data();
-  float* py = y.data();
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    py[i] += alpha * px[i];
-  }
+  axpy_t<float>(alpha, x, y);
 }
 
-void scal(float alpha, std::span<float> x) {
-  const auto n = static_cast<std::int64_t>(x.size());
-  float* px = x.data();
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    px[i] *= alpha;
-  }
-}
+void scal(float alpha, std::span<float> x) { scal_t<float>(alpha, x); }
 
 void copy(std::span<const float> x, std::span<float> y) {
-  require_same_size_t<float>(x, std::span<const float>(y), "copy");
-  const auto n = static_cast<std::int64_t>(x.size());
-  const float* px = x.data();
-  float* py = y.data();
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    py[i] = px[i];
-  }
+  copy_t<float>(x, y);
 }
 
 void waxpby(float alpha, std::span<const float> x, float beta,
             std::span<const float> y, std::span<float> w) {
-  require_same_size_t<float>(x, y, "waxpby");
-  require_same_size_t<float>(x, std::span<const float>(w), "waxpby");
-  const auto n = static_cast<std::int64_t>(x.size());
-  const float* px = x.data();
-  const float* py = y.data();
-  float* pw = w.data();
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    pw[i] = alpha * px[i] + beta * py[i];
-  }
+  waxpby_t<float>(alpha, x, beta, y, w);
 }
 
 bool all_finite(std::span<const float> x) { return count_nonfinite(x) == 0; }
 
 std::size_t count_nonfinite(std::span<const float> x) {
-  std::int64_t bad = 0;
-  const auto n = static_cast<std::int64_t>(x.size());
-  const float* px = x.data();
-#pragma omp parallel for reduction(+ : bad) schedule(static) if (n > 4096)
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!std::isfinite(px[i])) ++bad;
-  }
-  return static_cast<std::size_t>(bad);
+  return count_nonfinite_t<float>(x);
 }
 
 float dot_axpy(std::span<const float> x, std::span<float> y) {

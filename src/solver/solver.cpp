@@ -307,10 +307,10 @@ SolveReport CgSolver::solve(std::span<const double> b, std::span<double> x) {
   krylov::CgResult res = krylov::cg(*a_, b_scratch_, x_scratch_, opts_);
   copy_out(res.x, x);
   SolveReport r;
+  static_cast<krylov::LevelCounters&>(r) = res;
   r.status = res.indefinite  ? SolveStatus::Indefinite
              : res.converged ? SolveStatus::Converged
                              : SolveStatus::MaxIterations;
-  r.iterations = res.iterations;
   r.residual_norm = res.residual_norm;
   r.residual_history = std::move(res.residual_history);
   return r;

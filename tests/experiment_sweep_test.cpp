@@ -4,8 +4,12 @@
 #include <stdexcept>
 
 #include "experiment/report.hpp"
+#include "experiment/scenario.hpp"
 #include "experiment/sweep.hpp"
 #include "gen/poisson.hpp"
+#include "krylov/ft_gmres_batch.hpp"
+#include "krylov/mixed.hpp"
+#include "krylov/operator.hpp"
 #include "la/blas1.hpp"
 
 namespace experiment = sdcgmres::experiment;
@@ -414,6 +418,66 @@ TEST(Sweep, BatchedSweepCutsMatrixStreamsNotColumns) {
   EXPECT_GT(batched.operator_stats.apply_block_calls, 0u);
   EXPECT_LT(2 * batched.operator_stats.streams(),
             solo.operator_stats.streams());
+}
+
+TEST(Sweep, Fig3aClass1CountsArePinned) {
+  // The deterministic traffic of the Fig. 3a class-1 cell at reduced
+  // scale (Poisson n=40, inner=25): operand columns, matrix streams, bytes
+  // and global syncs are properties of the operation sequence, so they
+  // are exact at any thread count and pinned here.
+  const experiment::ScenarioSpec cell = experiment::ScenarioSpec::parse(
+      "matrix=poisson n=40 inner=25 tol=1e-8 max_iters=300 sweep=1 "
+      "fault=class1 position=first threads=4");
+  const auto with = [&](const char* overrides) {
+    experiment::ScenarioSpec spec = cell;
+    spec.merge(experiment::ScenarioSpec::parse(overrides));
+    return spec;
+  };
+  const auto sweep = [&](const char* overrides) {
+    return experiment::run_injection_sweep(with(overrides));
+  };
+
+  const auto solo = sweep("batch=1");
+  EXPECT_EQ(solo.operator_stats.columns(), 26545u);
+  EXPECT_EQ(solo.inner_operand_columns(), 25223u);
+  EXPECT_EQ(solo.operator_stats.streams(), 26545u);
+  EXPECT_EQ(solo.operator_stats.bytes(), 4349345160u);
+  EXPECT_EQ(solo.baseline_global_syncs, 2298u);
+  EXPECT_EQ(solo.total_global_syncs(), 365316u);
+
+  const auto batched = sweep("batch=4");
+  EXPECT_EQ(batched.operator_stats.columns(), 26545u);
+  EXPECT_EQ(batched.operator_stats.streams(), 7194u);
+  EXPECT_EQ(batched.operator_stats.bytes(), 1674108112u);
+
+  EXPECT_EQ(sweep("index=32 batch=4").operator_stats.bytes(), 1423732792u);
+
+  const auto narrow = sweep("precision=float index=32 batch=4");
+  EXPECT_EQ(narrow.operator_stats.streams(), 7833u);
+  EXPECT_EQ(narrow.operator_stats.bytes(), 983391088u);
+
+  const auto sstep = sweep("s=4");
+  EXPECT_EQ(sstep.baseline_global_syncs, 132u);
+  EXPECT_EQ(sstep.total_global_syncs(), 20010u);
+
+  // Failure-free lockstep solve of four copies of b: the bytes the double
+  // and the float/int32 inner planes stream at equal outer counts.
+  const experiment::ScenarioProblem problem = experiment::build_problem(cell);
+  const auto solve_bytes = [&](const char* overrides) {
+    const krylov::FtGmresOptions opts =
+        experiment::sweep_config_from_spec(with(overrides),
+                                           problem.A.frobenius_norm())
+            .solver;
+    const krylov::CsrOperator op(problem.A);
+    krylov::FtGmresBatchWorkspace ws;
+    const std::vector<la::Vector> bs(4, problem.b);
+    (void)krylov::ft_gmres_batch(op, bs, opts, {}, &ws);
+    krylov::OperatorStats stats = op.stats();
+    if (ws.plane != nullptr) stats += ws.plane->stats();
+    return stats.bytes();
+  };
+  EXPECT_EQ(solve_bytes("precision=double"), 40295760u);
+  EXPECT_EQ(solve_bytes("precision=float index=32"), 21525216u);
 }
 
 TEST(Sweep, AbortingDetectorUnderThreadsAndBatchStaysIdentical) {

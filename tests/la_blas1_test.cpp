@@ -5,6 +5,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #ifdef _OPENMP
@@ -328,7 +329,86 @@ void expect_invariant_across_team_sizes(std::size_t n) {
   }
 }
 
+// Every element-wise kernel of one precision on one input.
+template <typename S>
+struct ElementWise {
+  std::vector<S> axpy;
+  std::vector<S> scal;
+  std::vector<S> copy;
+  std::vector<S> waxpby;
+  std::vector<S> waxpby_aliased; // w is y, as r = b - A*x writes it
+  std::vector<S> hadamard;       // double only
+  std::size_t nonfinite = 0;
+  bool all_finite = true;
+
+  bool operator==(const ElementWise&) const = default;
+};
+
+template <typename S>
+ElementWise<S> element_wise(const std::vector<S>& x, const std::vector<S>& y,
+                            const std::vector<S>& holes) {
+  ElementWise<S> r;
+  const std::span<const S> xs(x);
+  const std::span<const S> ys(y);
+  r.axpy = y;
+  la::axpy(S(0.37), xs, std::span<S>(r.axpy));
+  r.scal = x;
+  la::scal(S(-1.3), std::span<S>(r.scal));
+  r.copy.assign(x.size(), S(0));
+  la::copy(xs, std::span<S>(r.copy));
+  r.waxpby.assign(x.size(), S(0));
+  la::waxpby(S(0.5), xs, S(-2), ys, std::span<S>(r.waxpby));
+  r.waxpby_aliased = y;
+  la::waxpby(S(1), xs, S(-1), std::span<const S>(r.waxpby_aliased),
+             std::span<S>(r.waxpby_aliased));
+  if constexpr (std::is_same_v<S, double>) {
+    r.hadamard.assign(x.size(), 0.0);
+    la::hadamard(xs, ys, std::span<double>(r.hadamard));
+  }
+  r.nonfinite = la::count_nonfinite(std::span<const S>(holes));
+  r.all_finite = la::all_finite(std::span<const S>(holes));
+  return r;
+}
+
+template <typename S>
+void expect_element_wise_invariant(std::size_t n) {
+  const std::vector<S> x = wave<S>(n, 0.71, 0.3);
+  const std::vector<S> y = wave<S>(n, 0.29, 1.7);
+  // Non-finite entries every 1000th position, alternating Inf and NaN.
+  std::vector<S> holes = x;
+  std::size_t expected_holes = 0;
+  for (std::size_t i = 0; i < n; i += 1000, ++expected_holes) {
+    holes[i] = expected_holes % 2 == 0
+                   ? std::numeric_limits<S>::infinity()
+                   : std::numeric_limits<S>::quiet_NaN();
+  }
+  ElementWise<S> serial;
+  {
+    const TeamSize team(1);
+    serial = element_wise(x, y, holes);
+  }
+  EXPECT_EQ(serial.nonfinite, expected_holes) << "n " << n;
+  EXPECT_EQ(serial.all_finite, expected_holes == 0) << "n " << n;
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(serial.axpy[i], y[i] + S(0.37) * x[i]) << "n " << n;
+    ASSERT_EQ(serial.waxpby[i], S(0.5) * x[i] + S(-2) * y[i]) << "n " << n;
+  }
+  for (const int threads : {2, 3, 4}) {
+    const TeamSize team(threads);
+    EXPECT_TRUE(element_wise(x, y, holes) == serial)
+        << "n " << n << " threads " << threads;
+  }
+}
+
 } // namespace
+
+TEST(Blas1ThreadInvariance, ElementWiseKernelsAreBitwiseIdenticalAtEveryTeamSize) {
+  for (const std::size_t n :
+       {0u, 1u, 7u, 4095u, 4096u, 4097u, 3u * 4096u + 5u, 100003u}) {
+    expect_element_wise_invariant<double>(n);
+    expect_element_wise_invariant<float>(n);
+  }
+}
 
 TEST(Blas1ThreadInvariance, ReductionsAreBitwiseIdenticalAtEveryTeamSize) {
   for (const std::size_t n :

@@ -296,6 +296,23 @@ TEST(SolverFacade, CgBitwiseIdenticalToFreeFunction) {
   expect_bitwise_equal(rep.residual_history, direct.residual_history);
 }
 
+TEST(SolverFacade, CgReportCountsSyncsAndApplies) {
+  // cg used to report zero global syncs.  Setup pays ||b||, <r,z> and
+  // ||r0|| plus the residual product; each iteration pays p^T A p, ||r||
+  // and <r,z> plus one product.
+  const CsrMatrix A = gen::poisson2d(40);
+  const krylov::CsrOperator op(A);
+  const la::Vector b = la::ones(A.rows());
+  solver::CgSolver facade(op);
+  solver::SolveReport rep;
+  (void)facade.solve(b, &rep);
+  ASSERT_EQ(rep.status, solver::SolveStatus::Converged);
+  ASSERT_GT(rep.iterations, 0u);
+  EXPECT_EQ(rep.global_syncs, 3 + 3 * rep.iterations);
+  EXPECT_EQ(rep.operator_applies, 1 + rep.iterations);
+  EXPECT_EQ(op.stats().columns(), rep.operator_applies);
+}
+
 TEST(SolverFacade, FcgBitwiseIdenticalToFreeFunction) {
   const CsrMatrix A = gen::random_spd(60, 7);
   const krylov::CsrOperator op(A);
