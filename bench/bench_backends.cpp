@@ -8,8 +8,9 @@
 /// bandwidth in GB/s -- bytes counted at the format's TRUE stored widths,
 /// i.e. SELL padding slots are paid for, exactly as OperatorStats
 /// accounts them -- plus the wall-clock speedup over CSR.  `--json PATH`
-/// dumps the table machine-readably (BENCH_backends.json in the repo
-/// was produced this way; see the file's `caveat` field).
+/// dumps the table machine-readably to a caller-given path.  The padding
+/// ratios are deterministic and pinned as exact stored() counts in
+/// Sell.PaddingCountsArePinnedOnTheModelMatrices (tests/sparse_sell_test).
 ///
 /// SDCGMRES_FULL=1 runs the paper-scale matrices; the default sizes keep
 /// the whole sweep under a minute.
@@ -60,7 +61,7 @@ std::size_t sell_apply_bytes(const sparse::SellMatrix& S,
          sizeof(std::size_t) * S.index_slots();
 }
 
-/// Median-of-3 timing of \p body() run \p repeats times (milliseconds
+/// Min-of-3 timing of \p body() run \p repeats times (milliseconds
 /// per single invocation).
 template <typename F>
 double time_ms(F&& body, int repeats) {
@@ -198,10 +199,10 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << cli.json << " for writing\n";
       return 1;
     }
-    out << "{\n  \"bench\": \"backends\",\n  \"caveat\": \"single-core "
-           "container measurement; the matrices sit below the SpMV kernels' "
-           "OpenMP row threshold or run with OMP_NUM_THREADS=1, so figures "
-           "reflect serial memory-bandwidth, not parallel scaling\",\n"
+    out << "{\n  \"bench\": \"backends\",\n  \"caveat\": \"min-of-3 "
+           "timings, no spread; the default matrices sit below the SpMV "
+           "kernels' OpenMP row threshold, so figures reflect serial "
+           "memory bandwidth, not parallel scaling\",\n"
            "  \"spmm_cols\": "
         << kSpmmCols << ",\n  \"full_scale\": " << (full ? "true" : "false")
         << ",\n  \"matrices\": [\n"

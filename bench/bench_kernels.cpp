@@ -1,31 +1,26 @@
 /// \file bench_kernels.cpp
-/// \brief google-benchmark timings for the computational kernels, plus the
-/// old-vs-new orthogonalization comparison.
+/// \brief google-benchmark timings for the computational kernels, plus a
+/// standalone orthogonalization timing mode.
 ///
-/// Two headline measurements:
+/// Headline measurements:
 ///   1. the paper's "filtering values is cheap" claim (Section VII-E-2):
 ///      the detector's per-coefficient bound check adds negligible cost to
 ///      the orthogonalization kernel;
-///   2. the contiguous-basis refactor: fused block orthogonalization
-///      (gemv_t + gemv over a KrylovBasis arena) vs the per-vector
-///      reference path (k separate dot/axpy kernels over scattered
-///      la::Vector buffers).
+///   2. the fused block orthogonalization kernels (gemv_t + gemv, or
+///      dot_axpy for MGS, over a contiguous KrylovBasis arena).
 ///
-/// The second comparison also runs outside google-benchmark via
-///   bench_kernels --ortho-json PATH [--ortho-n N] [--ortho-k K]
-///                 [--ortho-reps R] [--ortho-only]
-/// which writes machine-readable JSON (per-kind timings and speedups) so
-/// the perf trajectory is recorded in-repo; the `bench_smoke` CTest target
-/// drives this at a small size on every test run.
+/// The orthogonalization timings also run outside google-benchmark via
+///   bench_kernels --ortho-only [--ortho-n N] [--ortho-k K] [--ortho-reps R]
+/// which prints min-of-reps fused MGS/CGS/CGS2 timings and the s-step
+/// commit kernel (TSQR vs column-at-a-time CGS2 on one n x s block) to
+/// stderr.  Wall-clock with spread is perfbench's job (perfbench/).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -53,12 +48,11 @@ la::Vector generic_vector(std::size_t n) {
   return v;
 }
 
-// --- Old-vs-new orthogonalization -----------------------------------------
+// --- Orthogonalization -----------------------------------------------------
 
-/// Identical (normalized, not mutually orthogonal -- irrelevant for
-/// timing) basis contents in both representations.
+/// Normalized (not mutually orthogonal -- irrelevant for timing) basis
+/// columns in a contiguous arena, plus the vector to orthogonalize.
 struct OrthoFixture {
-  std::vector<la::Vector> per_vector;
   la::KrylovBasis arena;
   la::Vector v_template;
 
@@ -72,28 +66,10 @@ struct OrthoFixture {
       }
       la::scal(1.0 / la::nrm2(q), q);
       arena.append(q);
-      per_vector.push_back(std::move(q));
     }
     v_template = generic_vector(n);
   }
 };
-
-void BM_OrthoPerVector(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto k = static_cast<std::size_t>(state.range(1));
-  const auto kind = static_cast<krylov::Orthogonalization>(state.range(2));
-  const OrthoFixture fix(n, k);
-  la::Vector v(n);
-  std::vector<double> h(k, 0.0);
-  for (auto _ : state) {
-    la::copy(fix.v_template, v);
-    krylov::orthogonalize(kind, fix.per_vector, k, v, h, nullptr, {});
-    benchmark::DoNotOptimize(v.data());
-  }
-}
-BENCHMARK(BM_OrthoPerVector)
-    ->Args({65536, 30, static_cast<long>(krylov::Orthogonalization::MGS)})
-    ->Args({65536, 30, static_cast<long>(krylov::Orthogonalization::CGS2)});
 
 void BM_OrthoFused(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -242,14 +218,7 @@ void BM_InnerSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_InnerSolve)->Arg(0)->Arg(1);
 
-// --- Standalone ortho comparison with JSON output --------------------------
-
-struct OrthoResult {
-  const char* kind;
-  double per_vector_ms;
-  double fused_ms;
-  double speedup;
-};
+// --- Standalone orthogonalization timings ----------------------------------
 
 /// Min-of-reps timing of `inner` back-to-back orthogonalize calls.
 template <typename Fn>
@@ -271,19 +240,10 @@ double time_ms(Fn&& fn, int inner, int reps) {
 
 /// TSQR vs sequential CGS2 orthonormalization of one n x s candidate
 /// block -- the s-step commit kernel against the column-at-a-time
-/// alternative.  Wall-clock is secondary on a 1-core container; the
-/// headline column is the global-reduction count: CGS2 pays 3 per column
-/// (two projection sweeps + the norm) where TSQR pays ONE per block.
-struct BlockOrthoResult {
-  std::size_t s;
-  double cgs2_ms;
-  double tsqr_ms;
-  double speedup;
-  std::size_t cgs2_syncs;
-  std::size_t tsqr_syncs;
-};
-
-BlockOrthoResult run_tsqr_comparison(std::size_t n, std::size_t s, int reps) {
+/// alternative.  Besides wall-clock it prints the global-reduction count:
+/// CGS2 pays 3 per column (two projection sweeps + the norm) where TSQR
+/// pays ONE per block.
+void run_tsqr_comparison(std::size_t n, std::size_t s, int reps) {
   // Deterministic, well-conditioned candidate block.
   la::BlockWorkspace source;
   source.reserve(n, s);
@@ -327,96 +287,31 @@ BlockOrthoResult run_tsqr_comparison(std::size_t n, std::size_t s, int reps) {
       },
       inner, reps);
 
-  return {s, cgs2_ms, tsqr_ms, cgs2_ms / tsqr_ms, 3 * s, 1};
+  std::cerr << "block ortho s=" << s << ": cgs2 " << cgs2_ms << " ms ("
+            << 3 * s << " syncs), tsqr " << tsqr_ms << " ms (1 sync)\n";
 }
 
-int run_ortho_comparison(std::size_t n, std::size_t k, int reps,
-                         const std::string& json_path) {
+void run_ortho_timings(std::size_t n, std::size_t k, int reps) {
   const OrthoFixture fix(n, k);
   la::Vector v(n);
   std::vector<double> h(k, 0.0);
   // Size the inner loop so one rep is comfortably above timer resolution.
   const int inner =
       std::max(1, static_cast<int>(20'000'000 / (n * k + 1)) + 2);
-
-  std::vector<OrthoResult> results;
-  const std::pair<const char*, krylov::Orthogonalization> kinds[] = {
-      {"mgs", krylov::Orthogonalization::MGS},
-      {"cgs", krylov::Orthogonalization::CGS},
-      {"cgs2", krylov::Orthogonalization::CGS2},
-  };
-  for (const auto& [name, kind] : kinds) {
-    const double old_ms = time_ms(
-        [&] {
-          la::copy(fix.v_template, v);
-          krylov::orthogonalize(kind, fix.per_vector, k, v, h, nullptr, {});
-        },
-        inner, reps);
-    const double new_ms = time_ms(
+  for (const krylov::Orthogonalization kind :
+       {krylov::Orthogonalization::MGS, krylov::Orthogonalization::CGS,
+        krylov::Orthogonalization::CGS2}) {
+    const double ms = time_ms(
         [&] {
           la::copy(fix.v_template, v);
           krylov::orthogonalize(kind, fix.arena, k, v, h, nullptr, {});
         },
         inner, reps);
-    results.push_back({name, old_ms, new_ms, old_ms / new_ms});
+    std::cerr << "ortho " << krylov::to_string(kind) << " (n=" << n
+              << ", k=" << k << "): fused " << ms << " ms\n";
   }
-
   // s-step commit kernel: TSQR vs sequential CGS2 on one n x s block.
-  std::vector<BlockOrthoResult> tsqr_results;
-  for (const std::size_t s : {2u, 4u, 8u}) {
-    tsqr_results.push_back(run_tsqr_comparison(n, s, reps));
-  }
-
-  std::ostream* out = &std::cout;
-  std::ofstream file;
-  if (!json_path.empty()) {
-    file.open(json_path);
-    if (!file) {
-      std::cerr << "cannot open " << json_path << " for writing\n";
-      return 1;
-    }
-    out = &file;
-  }
-  *out << "{\n"
-       << "  \"benchmark\": \"orthogonalization_fused_vs_per_vector\",\n"
-       << "  \"note\": \"measured on a single core: tsqr_vs_cgs2 wall-clock "
-          "reflects flops only; the *_global_syncs columns carry the "
-          "communication story (1 reduction per block vs 3 per column)\",\n"
-       << "  \"n\": " << n << ",\n"
-       << "  \"k\": " << k << ",\n"
-       << "  \"inner_iterations\": " << inner << ",\n"
-       << "  \"repetitions\": " << reps << ",\n"
-       << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const OrthoResult& r = results[i];
-    *out << "    {\"kind\": \"" << r.kind << "\", \"per_vector_ms\": "
-         << r.per_vector_ms << ", \"fused_ms\": " << r.fused_ms
-         << ", \"speedup\": " << r.speedup << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  *out << "  ],\n"
-       << "  \"tsqr_vs_cgs2\": [\n";
-  for (std::size_t i = 0; i < tsqr_results.size(); ++i) {
-    const BlockOrthoResult& r = tsqr_results[i];
-    *out << "    {\"s\": " << r.s << ", \"cgs2_ms\": " << r.cgs2_ms
-         << ", \"tsqr_ms\": " << r.tsqr_ms << ", \"speedup\": " << r.speedup
-         << ", \"cgs2_global_syncs\": " << r.cgs2_syncs
-         << ", \"tsqr_global_syncs\": " << r.tsqr_syncs << "}"
-         << (i + 1 < tsqr_results.size() ? "," : "") << "\n";
-  }
-  *out << "  ]\n}\n";
-
-  for (const OrthoResult& r : results) {
-    std::cerr << "ortho " << r.kind << ": per-vector " << r.per_vector_ms
-              << " ms, fused " << r.fused_ms << " ms, speedup " << r.speedup
-              << "x\n";
-  }
-  for (const BlockOrthoResult& r : tsqr_results) {
-    std::cerr << "block ortho s=" << r.s << ": cgs2 " << r.cgs2_ms
-              << " ms (" << r.cgs2_syncs << " syncs), tsqr " << r.tsqr_ms
-              << " ms (" << r.tsqr_syncs << " sync)\n";
-  }
-  return 0;
+  for (const std::size_t s : {2u, 4u, 8u}) run_tsqr_comparison(n, s, reps);
 }
 
 } // namespace
@@ -425,12 +320,10 @@ int main(int argc, char** argv) {
   // Shared spec-based flag handling (bench_common.hpp); unrecognized
   // tokens (--benchmark_*) pass through to google-benchmark.
   benchcfg::CliArgs cli = benchcfg::parse_cli(
-      argc, argv, {"ortho-json", "ortho-n", "ortho-k", "ortho-reps"},
-      {"ortho-only"});
+      argc, argv, {"ortho-n", "ortho-k", "ortho-reps"}, {"ortho-only"});
   const bool ortho_requested =
-      cli.spec.has("ortho-json") || cli.spec.has("ortho-n") ||
-      cli.spec.has("ortho-k") || cli.spec.has("ortho-reps") ||
-      cli.spec.has("ortho-only");
+      cli.spec.has("ortho-n") || cli.spec.has("ortho-k") ||
+      cli.spec.has("ortho-reps") || cli.spec.has("ortho-only");
 
   if (ortho_requested) {
     std::size_t ortho_n = 0;
@@ -448,10 +341,8 @@ int main(int argc, char** argv) {
       std::cerr << "--ortho-n/--ortho-k/--ortho-reps must be positive\n";
       return 1;
     }
-    const int rc =
-        run_ortho_comparison(ortho_n, ortho_k, static_cast<int>(ortho_reps),
-                             cli.spec.get("ortho-json"));
-    if (rc != 0 || cli.spec.get_bool("ortho-only", false)) return rc;
+    run_ortho_timings(ortho_n, ortho_k, static_cast<int>(ortho_reps));
+    if (cli.spec.get_bool("ortho-only", false)) return 0;
   }
 
   int bench_argc = static_cast<int>(cli.passthrough.size());

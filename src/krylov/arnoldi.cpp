@@ -1,8 +1,10 @@
 #include "krylov/arnoldi.hpp"
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "krylov/gmres.hpp"
 #include "la/blas1.hpp"
 
 namespace sdcgmres::krylov {
@@ -16,47 +18,35 @@ ArnoldiResult arnoldi(const LinearOperator& A, const la::Vector& v0,
   if (v0.size() != A.cols()) {
     throw std::invalid_argument("arnoldi: start vector size mismatch");
   }
-  ArnoldiResult out;
-  const double beta = la::nrm2(v0);
-  if (beta == 0.0) {
+  if (la::nrm2(v0) == 0.0) {
     throw std::invalid_argument("arnoldi: start vector must be nonzero");
   }
-  out.h.reshape(m + 1, m);
-  out.q = la::KrylovBasis(A.rows(), m + 1);
-  out.q.append(v0);
-  la::scal(1.0 / beta, out.q.col(0));
 
-  if (hook != nullptr) hook->on_solve_begin(0);
-  la::Vector v(A.rows());
-  std::vector<double> hcol(m + 1, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const ArnoldiContext ctx{.solve_index = 0, .iteration = j};
-    if (hook != nullptr) hook->on_iteration_begin(ctx);
-    A.apply(out.q.col(j), v);
-    if (hook != nullptr) hook->on_matvec_result(ctx, v.span());
-    orthogonalize(ortho, out.q, j + 1, v, hcol, hook, ctx);
-    for (std::size_t i = 0; i <= j; ++i) out.h(i, j) = hcol[i];
-    double hnext = la::nrm2(v);
-    if (hook != nullptr) hook->on_subdiagonal(ctx, hnext);
-    out.h(j + 1, j) = hnext;
-    out.steps = j + 1;
-    if (hook != nullptr && hook->abort_requested()) break;
-    if (hnext <= breakdown_tol) {
-      out.breakdown = true;
-      break;
-    }
-    out.q.append(v.span());
-    la::scal(1.0 / hnext, out.q.col(j + 1));
-    if (hook != nullptr) {
-      hcol[j + 1] = hnext;
-      const ArnoldiIterationView view{
-          .basis = out.q.view(j + 2),
-          .h_column = {hcol.data(), j + 2},
-      };
-      hook->on_iteration_end(ctx, view);
-      if (hook->abort_requested()) break;
-    }
+  // One GMRES cycle of m fixed iterations from x = 0: the residual is v0,
+  // so the engine's basis and Hessenberg columns are the Arnoldi ones.
+  GmresOptions opts;
+  opts.max_iters = m;
+  opts.restart = m;
+  opts.tol = 0.0;
+  opts.ortho = ortho;
+  opts.breakdown_tol = breakdown_tol;
+  KrylovWorkspace ws;
+  la::Vector x(A.cols());
+  GmresEngine engine(A, v0.span(), x.span(), opts, hook, 0, ws, nullptr);
+
+  ArnoldiResult out;
+  out.h.reshape(m + 1, m);
+  while (!engine.finished()) {
+    step_with_apply(A, engine);
+    // An accepted step leaves column k-1 of H in the arena's h column.
+    const std::size_t k = engine.stats().iterations;
+    if (k == out.steps) continue;
+    const std::vector<double>& hcol = ws.arena.h_column();
+    for (std::size_t i = 0; i <= k; ++i) out.h(i, k - 1) = hcol[i];
+    out.steps = k;
   }
+  out.breakdown = engine.stats().status == SolveStatus::HappyBreakdown;
+  out.q = std::move(ws.arena.basis());
   return out;
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "krylov/hooks.hpp"
@@ -54,8 +55,8 @@ enum class Orthogonalization {
 ///
 /// This is the per-vector REFERENCE path (k separate dot+axpy kernels over
 /// scattered la::Vector buffers).  The solvers use the contiguous-basis
-/// overload below; this one is kept as the baseline for the equivalence
-/// tests and the old-vs-new kernel benchmark.
+/// overload below; this one is kept as the baseline the equivalence tests
+/// compare it against.
 ///
 /// \param hook optional Arnoldi hook (may be nullptr); receives
 ///        on_projection_coefficient for every first-pass coefficient.
@@ -65,8 +66,9 @@ void orthogonalize(Orthogonalization kind,
                    la::Vector& v, std::span<double> h, ArnoldiHook* hook,
                    const ArnoldiContext& ctx);
 
-/// Fused orthogonalization over a contiguous KrylovBasis.  Semantics match
-/// the reference overload:
+/// Fused orthogonalization over a contiguous KrylovBasisT<S>, S = double
+/// (the reliable plane) or float (the mixed-precision inner plane).
+/// Semantics match the reference overload:
 ///   - the hook fires once per first-pass coefficient with the same
 ///     (i, mgs_steps) sequence, each coefficient computed from the same
 ///     operands, and hook mutations are applied identically;
@@ -78,36 +80,27 @@ void orthogonalize(Orthogonalization kind,
 /// over the basis block, and MGS streams each column through the fused
 /// la::dot_axpy kernel.  The CORRECTION rounding can also differ from the
 /// reference (blocked column combination), i.e. v agrees to roundoff.
+/// For S = float every kernel runs in float; the ArnoldiHook protocol is
+/// double-typed, so each first-pass coefficient is widened for the hook
+/// and the (possibly mutated) value narrowed back before it is applied --
+/// injected faults land in the float data plane exactly where they land
+/// in the double one.
 /// \p v is a span so callers can orthogonalize in place inside an arena
-/// column (s-step mode) or a bound staging block (lockstep batch driver).
-void orthogonalize(Orthogonalization kind, const la::KrylovBasis& q,
-                   std::size_t k, std::span<double> v, std::span<double> h,
-                   ArnoldiHook* hook, const ArnoldiContext& ctx);
+/// column (s-step mode) or a bound staging block (lockstep batch driver);
+/// S is deduced from \p q alone.
+template <typename S>
+void orthogonalize(Orthogonalization kind, const la::KrylovBasisT<S>& q,
+                   std::size_t k, std::type_identity_t<std::span<S>> v,
+                   std::type_identity_t<std::span<S>> h, ArnoldiHook* hook,
+                   const ArnoldiContext& ctx);
 
 /// Convenience wrapper for owning-vector callers.
-inline void orthogonalize(Orthogonalization kind, const la::KrylovBasis& q,
-                          std::size_t k, la::Vector& v, std::span<double> h,
-                          ArnoldiHook* hook, const ArnoldiContext& ctx) {
-  orthogonalize(kind, q, k, v.span(), h, hook, ctx);
-}
-
-/// Float instantiation of the fused contiguous-basis orthogonalization,
-/// for the mixed-precision inner engine.  All kernels (dot_axpy, gemv_t,
-/// gemv) run in float; the ArnoldiHook protocol is double-typed, so each
-/// first-pass coefficient is widened for the hook and the (possibly
-/// mutated) value narrowed back before it is applied -- injected faults
-/// land in the float data plane exactly where they land in the double
-/// one.
-void orthogonalize(Orthogonalization kind, const la::KrylovBasisT<float>& q,
-                   std::size_t k, std::span<float> v, std::span<float> h,
-                   ArnoldiHook* hook, const ArnoldiContext& ctx);
-
-/// Convenience wrapper for owning-vector callers.
-inline void orthogonalize(Orthogonalization kind,
-                          const la::KrylovBasisT<float>& q, std::size_t k,
-                          la::VectorT<float>& v, std::span<float> h,
-                          ArnoldiHook* hook, const ArnoldiContext& ctx) {
-  orthogonalize(kind, q, k, v.span(), h, hook, ctx);
+template <typename S>
+void orthogonalize(Orthogonalization kind, const la::KrylovBasisT<S>& q,
+                   std::size_t k, la::VectorT<S>& v,
+                   std::type_identity_t<std::span<S>> h, ArnoldiHook* hook,
+                   const ArnoldiContext& ctx) {
+  orthogonalize<S>(kind, q, k, v.span(), h, hook, ctx);
 }
 
 } // namespace sdcgmres::krylov

@@ -16,7 +16,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gen/convection_diffusion.hpp"
@@ -26,6 +28,7 @@
 #include "la/blas1.hpp"
 #include "la/blas2.hpp"
 #include "la/krylov_basis.hpp"
+#include "reference_sum_order.hpp"
 
 namespace krylov = sdcgmres::krylov;
 namespace gen = sdcgmres::gen;
@@ -136,15 +139,17 @@ double defect_of(const std::vector<la::Vector>& q) {
 
 // --- Coefficient / hook equivalence ----------------------------------------
 
-class OrthoParity : public ::testing::TestWithParam<krylov::Orthogonalization> {
-};
+/// (kind, rows): the sizes include odd block remainders and 16384 rows,
+/// which spans four 4096-entry summation blocks.
+class OrthoParity
+    : public ::testing::TestWithParam<
+          std::tuple<krylov::Orthogonalization, std::size_t>> {};
 
 /// Both paths must produce bitwise-identical hook sequences and identical
 /// total coefficients; the orthogonalized vector agrees to roundoff (the
 /// fused correction combines columns in blocks).
 TEST_P(OrthoParity, HookSequenceAndCoefficientsMatchReferencePath) {
-  const krylov::Orthogonalization kind = GetParam();
-  const std::size_t n = 777; // odd (block remainders)
+  const auto [kind, n] = GetParam();
   const std::size_t k = 6;
   const TwinBases tb = twin_bases(n, k);
 
@@ -178,8 +183,7 @@ TEST_P(OrthoParity, HookSequenceAndCoefficientsMatchReferencePath) {
 /// Hook mutations must propagate identically (the paper's injection site:
 /// a corrupted coefficient taints everything downstream the same way).
 TEST_P(OrthoParity, HookMutationPropagatesIdentically) {
-  const krylov::Orthogonalization kind = GetParam();
-  const std::size_t n = 333;
+  const auto [kind, n] = GetParam();
   const std::size_t k = 5;
   const TwinBases tb = twin_bases(n, k);
 
@@ -205,7 +209,124 @@ TEST_P(OrthoParity, HookMutationPropagatesIdentically) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, OrthoParity,
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, OrthoParity,
+    ::testing::Combine(::testing::Values(krylov::Orthogonalization::MGS,
+                                         krylov::Orthogonalization::CGS,
+                                         krylov::Orthogonalization::CGS2),
+                       ::testing::Values(std::size_t{333}, std::size_t{777},
+                                         std::size_t{16384})),
+    [](const auto& info) {
+      return std::string(krylov::to_string(std::get<0>(info.param))) + "_n" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// --- Float plane: the widened hook protocol --------------------------------
+
+namespace {
+
+/// Hook for the float kernels: records each widened coefficient next to
+/// the reference-order float dot of the operands at that moment (the basis
+/// column and the live candidate v), and can scale one coefficient by 100.
+class FloatPlaneHook final : public krylov::ArnoldiHook {
+public:
+  FloatPlaneHook(const la::KrylovBasisT<float>& q, std::span<const float> v)
+      : q_(q), v_(v) {}
+
+  struct Seen {
+    std::size_t i;
+    double value;
+    double reference;
+  };
+  std::vector<Seen> seen;
+  std::size_t corrupt_index = SIZE_MAX;
+
+  void on_projection_coefficient(const krylov::ArnoldiContext&, std::size_t i,
+                                 std::size_t, double& h) override {
+    const float ref = sdcgmres::reference::dot<float>(q_.col(i), v_);
+    seen.push_back({i, h, static_cast<double>(ref)});
+    if (i == corrupt_index) h *= 100.0;
+  }
+
+private:
+  const la::KrylovBasisT<float>& q_;
+  std::span<const float> v_;
+};
+
+std::vector<float> narrowed(const la::Vector& v) {
+  std::vector<float> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = static_cast<float>(v[i]);
+  return out;
+}
+
+} // namespace
+
+class FloatOrtho : public ::testing::TestWithParam<krylov::Orthogonalization> {
+};
+
+/// On KrylovBasisT<float> every first-pass coefficient reaches the
+/// double-typed hook as the widened float dot of that moment's operands,
+/// summed in the reference order (n spans three 4096-entry blocks), and a
+/// hook mutation is narrowed back into h and v exactly: a replay on the la
+/// kernels that applies the narrowed x100 coefficient gives the same bits.
+TEST_P(FloatOrtho, HookSeesWidenedReferenceDotsAndMutationNarrowsBack) {
+  const krylov::Orthogonalization kind = GetParam();
+  const std::size_t n = 9000;
+  const std::size_t k = 5;
+  const std::size_t bad = 2;
+  la::KrylovBasisT<float> q(n, k);
+  for (std::size_t j = 0; j < k; ++j) {
+    la::Vector d = generic_vector(n, 0.3 + 0.9 * static_cast<double>(j));
+    la::scal(1.0 / la::nrm2(d), d);
+    q.append(std::span<const float>(narrowed(d)));
+  }
+  const std::vector<float> v0 = narrowed(generic_vector(n, 5.1));
+
+  std::vector<float> v = v0;
+  std::vector<float> h(k, 0.0f);
+  FloatPlaneHook hook(q, v);
+  hook.corrupt_index = bad;
+  krylov::orthogonalize(kind, q, k, std::span<float>(v), std::span<float>(h),
+                        &hook, {});
+
+  ASSERT_EQ(hook.seen.size(), k);
+  for (std::size_t s = 0; s < k; ++s) {
+    EXPECT_EQ(hook.seen[s].i, s);
+    EXPECT_EQ(hook.seen[s].value, hook.seen[s].reference) << "event " << s;
+  }
+  const float narrowed_bad = static_cast<float>(hook.seen[bad].value * 100.0);
+  if (kind != krylov::Orthogonalization::CGS2) {
+    EXPECT_EQ(h[bad], narrowed_bad); // one pass: h holds the coefficient
+  }
+
+  // Replay on the la kernels with the narrowed mutated coefficient.
+  std::vector<float> vr = v0;
+  std::vector<float> hr(k, 0.0f);
+  const std::span<float> vrs(vr);
+  if (kind == krylov::Orthogonalization::MGS) {
+    for (std::size_t i = 0; i < k; ++i) {
+      hr[i] += la::dot_axpy(q.col(i), vrs, [&](float& c) {
+        if (i == bad) c = narrowed_bad;
+      });
+    }
+  } else {
+    const std::size_t passes = kind == krylov::Orthogonalization::CGS2 ? 2 : 1;
+    std::vector<float> c(k, 0.0f);
+    for (std::size_t p = 0; p < passes; ++p) {
+      la::gemv_t(1.0f, q.view(k), std::span<const float>(vr), 0.0f,
+                 std::span<float>(c));
+      if (p == 0) c[bad] = narrowed_bad;
+      for (std::size_t i = 0; i < k; ++i) hr[i] += c[i];
+      la::gemv(-1.0f, q.view(k), std::span<const float>(c), 1.0f, vrs);
+    }
+  }
+  for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(h[i], hr[i]) << "h[" << i << "]";
+  std::size_t v_mismatches = 0;
+  for (std::size_t i = 0; i < n; ++i) v_mismatches += (v[i] != vr[i]) ? 1 : 0;
+  EXPECT_EQ(v_mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, FloatOrtho,
                          ::testing::Values(krylov::Orthogonalization::MGS,
                                            krylov::Orthogonalization::CGS,
                                            krylov::Orthogonalization::CGS2),

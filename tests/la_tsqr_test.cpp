@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #ifdef _OPENMP
@@ -109,14 +110,23 @@ double cgs2_defect(const std::vector<std::vector<double>>& cols) {
 
 } // namespace
 
-TEST(Tsqr, ReconstructsAndOrthogonalizesRandomPanel) {
-  const std::size_t n = 300, m = 5;
+/// One factorization shape: rows, columns and row-panel height.
+struct PanelShape {
+  std::size_t n;
+  std::size_t m;
+  std::size_t panel_rows;
+};
+
+class TsqrShapes : public ::testing::TestWithParam<PanelShape> {};
+
+TEST_P(TsqrShapes, ReconstructsAndOrthogonalizesRandomPanel) {
+  const auto [n, m, panel_rows] = GetParam();
   auto ws = random_panel<double>(n, m, 42u);
   auto panel = ws.view(m);
   const auto original = snapshot(panel);
 
   std::vector<double> r(m * m, -1.0);
-  la::tsqr(panel, r.data(), m, /*panel_rows=*/64);
+  la::tsqr(panel, r.data(), m, panel_rows);
 
   EXPECT_LT(reconstruction_error(panel, r, m, original), 1e-12);
   EXPECT_LT(ortho_defect(panel), 1e-13);
@@ -129,6 +139,17 @@ TEST(Tsqr, ReconstructsAndOrthogonalizesRandomPanel) {
   // TSQR's defect must be at least as good as the CGS2 reference's.
   EXPECT_LE(ortho_defect(panel), std::max(cgs2_defect(original), 1e-14));
 }
+
+/// A 300-row panel in 64-row panels, and the s-step commit shapes (s = 2,
+/// 4, 8) at 16384 rows in the default 2048-row panels.
+INSTANTIATE_TEST_SUITE_P(
+    Tsqr, TsqrShapes,
+    ::testing::Values(PanelShape{300, 5, 64}, PanelShape{16384, 2, 2048},
+                      PanelShape{16384, 4, 2048}, PanelShape{16384, 8, 2048}),
+    [](const auto& info) {
+      return "n" + std::to_string(info.param.n) + "_m" +
+             std::to_string(info.param.m);
+    });
 
 TEST(Tsqr, SinglePanelWhenPanelRowsExceedRows) {
   const std::size_t n = 100, m = 4;

@@ -113,6 +113,48 @@ TEST(SweepScheduler, RepeatedMatrixBurstHitsTheArtifactCache) {
   scheduler.stop();
 }
 
+/// A one-worker burst of 20 small sweep jobs from two tenants rotating over
+/// three matrices, cold and then warm.  Each job looks up its problem and
+/// its calibration: the cold burst misses once per matrix and artifact,
+/// and the warm burst serves every lookup from the cache.
+TEST(SweepScheduler, ColdThenWarmBurstCacheCountsArePinned) {
+  service::SweepScheduler scheduler(quick_options(fresh_root("burst")));
+  scheduler.start();
+  const std::string tail = " n=16 inner=8 sweep=1 fault=class1 site_limit=8";
+  const std::vector<std::string> specs = {"matrix=poisson" + tail,
+                                          "matrix=convdiff" + tail,
+                                          "matrix=aniso" + tail};
+  const std::size_t jobs = 20;
+  auto burst = [&] {
+    const service::SchedulerStats before = scheduler.stats();
+    for (std::size_t i = 0; i < jobs; ++i) {
+      const std::string tenant = i % 2 == 0 ? "alice" : "bob";
+      (void)scheduler.submit("tenant=" + tenant + "\n" +
+                             specs[i % specs.size()] + "\n");
+    }
+    EXPECT_TRUE(wait_for([&] {
+      const service::SchedulerStats now = scheduler.stats();
+      return now.completed + now.failed >=
+             before.completed + before.failed + jobs;
+    }));
+    return scheduler.stats();
+  };
+
+  const service::SchedulerStats cold = burst();
+  EXPECT_EQ(cold.failed, 0u);
+  EXPECT_EQ(cold.completed, jobs);
+  EXPECT_EQ(cold.cache.misses, 6u);
+  EXPECT_EQ(cold.cache.hits, 34u);
+
+  const service::SchedulerStats warm = burst();
+  EXPECT_EQ(warm.failed, 0u);
+  EXPECT_EQ(warm.completed, 2 * jobs);
+  EXPECT_EQ(warm.cache.misses, cold.cache.misses)
+      << "a warm burst must not miss";
+  EXPECT_EQ(warm.cache.hits - cold.cache.hits, 2 * jobs);
+  scheduler.stop();
+}
+
 TEST(SweepScheduler, MalformedJobsAreQuarantinedWithAReason) {
   service::SweepScheduler scheduler(quick_options(fresh_root("quarantine")));
   scheduler.start();

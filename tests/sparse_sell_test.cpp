@@ -169,6 +169,41 @@ TEST(Sell, SpmmBitwiseMatchesCsrSpmvPerColumn) {
   }
 }
 
+/// SELL padding is a deterministic function of the sparsity pattern and
+/// the geometry, so the stored slot counts are pinned exactly: the 1600-row
+/// Poisson and convection-diffusion stencils pad their ragged boundary
+/// rows (7840 nonzeros), the 2000-node circuit's irregular rows pad far
+/// more (20381 nonzeros), and sorting within 4-chunk windows (sigma = 4)
+/// recovers most of it.
+TEST(Sell, PaddingCountsArePinnedOnTheModelMatrices) {
+  gen::CircuitOptions circuit;
+  circuit.nodes = 2000;
+  struct Case {
+    const char* name;
+    sparse::CsrMatrix A;
+    std::size_t nnz;
+    std::size_t stored[4]; // sell:4:1, sell:8:1, sell:8:4, sell:32:1
+  };
+  const Case cases[] = {
+      {"poisson2d(40)", gen::poisson2d(40), 7840, {7920, 7920, 7920, 7936}},
+      {"convection_diffusion2d(40)",
+       gen::convection_diffusion2d(40, 1.5, -0.75),
+       7840,
+       {7920, 7920, 7920, 7936}},
+      {"circuit(2000)", gen::circuit_like(circuit), 20381,
+       {25072, 27096, 22696, 31360}},
+  };
+  const std::size_t geometry[4][2] = {{4, 1}, {8, 1}, {8, 4}, {32, 1}};
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.A.nnz(), c.nnz) << c.name;
+    for (std::size_t g = 0; g < 4; ++g) {
+      const sparse::SellMatrix S(c.A, geometry[g][0], geometry[g][1]);
+      EXPECT_EQ(S.stored(), c.stored[g])
+          << c.name << " sell:" << geometry[g][0] << ":" << geometry[g][1];
+    }
+  }
+}
+
 TEST(Sell, PaddingIsInertEvenAgainstInfAndNan) {
   // Poison x with Inf/NaN at column 0 -- where padding slots point.  If a
   // kernel ever multiplied a padding slot, 0.0 * Inf = NaN would
