@@ -34,7 +34,9 @@ GmresEngineT<S>::GmresEngineT(std::size_t rows, std::size_t cols,
                               const GmresOptions& opts, ArnoldiHook* hook,
                               std::size_t solve_index, KrylovWorkspaceT<S>& ws,
                               std::vector<double>* residual_history)
-    : b_(b), x_(x), opts_(opts), hook_(hook), solve_index_(solve_index),
+    : b_(b), x_(x), opts_(opts), hook_(hook),
+      events_(hook != nullptr ? hook->events() : hook_events::none),
+      solve_index_(solve_index),
       w_(&ws), history_(residual_history), n_(rows) {
   if (rows != cols) {
     throw std::invalid_argument("gmres: operator must be square");
@@ -135,6 +137,7 @@ bool GmresEngineT<S>::start_cycle() {
   q.clear();
   q.append(r);
   la::scal(static_cast<S>(1.0 / beta), q.col(0));
+  hook_basis_.clear(); // the widened mirror restarts with the basis
 
   w_->qr.reset(cycle_len_, static_cast<S>(beta));
   awaiting_residual_ = false;
@@ -202,6 +205,68 @@ std::span<S> GmresEngineT<S>::v_target() {
 }
 
 template <typename S>
+void GmresEngineT<S>::deliver_vector_events(const ArnoldiContext& ctx,
+                                            std::span<S> v,
+                                            bool staged_power) {
+  // The double engine hands over the arena data itself; the float engine
+  // a widened copy, narrowed back afterwards so faults injected here land
+  // in the float data plane.
+  std::span<double> seen;
+  if constexpr (std::is_same_v<S, double>) {
+    seen = v;
+  } else {
+    hook_vec_.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      hook_vec_[i] = static_cast<double>(v[i]);
+    }
+    seen = hook_vec_.span();
+  }
+  if ((events_ & hook_events::matvec_result) != 0) {
+    hook_->on_matvec_result(ctx, seen);
+  }
+  if (staged_power && (events_ & hook_events::power_computed) != 0) {
+    hook_->on_power_computed(ctx, stage_idx_, stage_count_, seen);
+  }
+  if constexpr (!std::is_same_v<S, double>) {
+    for (std::size_t i = 0; i < n_; ++i) v[i] = static_cast<S>(seen[i]);
+  }
+}
+
+template <typename S>
+template <typename T>
+void GmresEngineT<S>::deliver_iteration_end(const ArnoldiContext& ctx,
+                                            std::size_t len,
+                                            std::span<const T> h) {
+  std::span<const double> h_column;
+  if constexpr (std::is_same_v<T, double>) {
+    h_column = h;
+  } else {
+    hook_hcol_.assign(h.begin(), h.end());
+    h_column = hook_hcol_;
+  }
+  la::KrylovBasisT<S>& q = w_->arena.basis();
+  if constexpr (std::is_same_v<S, double>) {
+    hook_->on_iteration_end(ctx, {.basis = q.view(len), .h_column = h_column});
+  } else {
+    // Widen only the columns committed since the previous event: the
+    // earlier ones are already mirrored and do not change within a cycle
+    // (start_cycle() empties the mirror with the basis).
+    if (hook_basis_.rows() != n_ || hook_basis_.capacity() < cycle_len_ + 1) {
+      hook_basis_ = la::KrylovBasis(n_, cycle_len_ + 1);
+    }
+    while (hook_basis_.cols() < len) {
+      const std::span<const S> src = q.col(hook_basis_.cols());
+      const std::span<double> dst = hook_basis_.append();
+      for (std::size_t i = 0; i < n_; ++i) {
+        dst[i] = static_cast<double>(src[i]);
+      }
+    }
+    hook_->on_iteration_end(
+        ctx, {.basis = hook_basis_.view(len), .h_column = h_column});
+  }
+}
+
+template <typename S>
 bool GmresEngineT<S>::advance() {
   if (s_ > 1 && stage_count_ > 0) return advance_staged();
 
@@ -214,22 +279,8 @@ bool GmresEngineT<S>::advance() {
   std::vector<S>& hcol = w_->arena.h_column();
   const ArnoldiContext ctx{.solve_index = solve_index_, .iteration = j};
 
-  if (hook_ != nullptr) {
-    if constexpr (std::is_same_v<S, double>) {
-      hook_->on_matvec_result(ctx, v);
-    } else {
-      // Widen the float candidate for the double-typed hook, then narrow
-      // the (possibly mutated) copy back: faults injected at the matvec
-      // site land in the float data plane.
-      hook_vec_.resize(n_);
-      for (std::size_t i = 0; i < n_; ++i) {
-        hook_vec_[i] = static_cast<double>(v[i]);
-      }
-      hook_->on_matvec_result(ctx, hook_vec_.span());
-      for (std::size_t i = 0; i < n_; ++i) {
-        v[i] = static_cast<S>(hook_vec_[i]);
-      }
-    }
+  if ((events_ & hook_events::matvec_result) != 0) {
+    deliver_vector_events(ctx, v, /*staged_power=*/false);
   }
   ++stats_.global_syncs; // ||v|| (breakdown scale)
   const double w_norm = static_cast<double>(
@@ -276,36 +327,9 @@ bool GmresEngineT<S>::advance() {
   la::scal(static_cast<S>(1.0 / hnext), q.col(j + 1));
 
   if (hook_ != nullptr) {
-    if constexpr (std::is_same_v<S, double>) {
-      const ArnoldiIterationView view{
-          .basis = q.view(j + 2),
-          .h_column = {hcol.data(), j + 2},
-      };
-      hook_->on_iteration_end(ctx, view);
-    } else {
-      // Full widened mirror of the iteration state for the double-typed
-      // whole-iteration checks (Online-ABFT).  Rebuilt per event --
-      // correctness over speed; only paid when a hook is installed.
-      if (hook_basis_.rows() != n_ || hook_basis_.capacity() < cycle_len_ + 1) {
-        hook_basis_ = la::KrylovBasis(n_, cycle_len_ + 1);
-      }
-      hook_basis_.clear();
-      for (std::size_t c = 0; c < j + 2; ++c) {
-        std::span<double> dst = hook_basis_.append();
-        const std::span<const S> src = q.col(c);
-        for (std::size_t i = 0; i < n_; ++i) {
-          dst[i] = static_cast<double>(src[i]);
-        }
-      }
-      hook_hcol_.assign(j + 2, 0.0);
-      for (std::size_t i = 0; i < j + 2; ++i) {
-        hook_hcol_[i] = static_cast<double>(hcol[i]);
-      }
-      const ArnoldiIterationView view{
-          .basis = hook_basis_.view(j + 2),
-          .h_column = {hook_hcol_.data(), j + 2},
-      };
-      hook_->on_iteration_end(ctx, view);
+    if ((events_ & hook_events::iteration_end) != 0) {
+      deliver_iteration_end(ctx, j + 2,
+                            std::span<const S>(hcol.data(), j + 2));
     }
     if (hook_->abort_requested()) {
       // The whole-iteration check rejected this column (Online-ABFT
@@ -345,22 +369,9 @@ bool GmresEngineT<S>::advance_staged() {
     // persist it into the basis arena (powers must outlive the step).
     la::copy(std::span<const S>(ext_target_), pcol);
   }
-  if (hook_ != nullptr) {
-    if constexpr (std::is_same_v<S, double>) {
-      hook_->on_matvec_result(ctx, pcol);
-      hook_->on_power_computed(ctx, stage_idx_, stage_count_, pcol);
-    } else {
-      hook_vec_.resize(n_);
-      for (std::size_t i = 0; i < n_; ++i) {
-        hook_vec_[i] = static_cast<double>(pcol[i]);
-      }
-      hook_->on_matvec_result(ctx, hook_vec_.span());
-      hook_->on_power_computed(ctx, stage_idx_, stage_count_,
-                               hook_vec_.span());
-      for (std::size_t i = 0; i < n_; ++i) {
-        pcol[i] = static_cast<S>(hook_vec_[i]);
-      }
-    }
+  if ((events_ & (hook_events::matvec_result |
+                  hook_events::power_computed)) != 0) {
+    deliver_vector_events(ctx, pcol, /*staged_power=*/true);
   }
   ++stage_idx_;
   if (stage_idx_ < stage_count_) return false; // next power of the block
@@ -498,30 +509,9 @@ bool GmresEngineT<S>::commit_block() {
     }
 
     if (hook_ != nullptr) {
-      if constexpr (std::is_same_v<S, double>) {
-        const ArnoldiIterationView view{
-            .basis = q.view(len),
-            .h_column = {hraw_.data(), len},
-        };
-        hook_->on_iteration_end(ctx, view);
-      } else {
-        if (hook_basis_.rows() != n_ ||
-            hook_basis_.capacity() < cycle_len_ + 1) {
-          hook_basis_ = la::KrylovBasis(n_, cycle_len_ + 1);
-        }
-        hook_basis_.clear();
-        for (std::size_t col = 0; col < len; ++col) {
-          std::span<double> dst = hook_basis_.append();
-          const std::span<const S> src = q.col(col);
-          for (std::size_t i = 0; i < n_; ++i) {
-            dst[i] = static_cast<double>(src[i]);
-          }
-        }
-        const ArnoldiIterationView view{
-            .basis = hook_basis_.view(len),
-            .h_column = {hraw_.data(), len},
-        };
-        hook_->on_iteration_end(ctx, view);
+      if ((events_ & hook_events::iteration_end) != 0) {
+        deliver_iteration_end(ctx, len,
+                              std::span<const double>(hraw_.data(), len));
       }
       if (hook_->abort_requested()) {
         // Interior block column: the basis columns stay in the arena
@@ -585,9 +575,9 @@ bool GmresEngineT<S>::finish_cycle(bool aborted, bool breakdown,
     } else {
       // Narrow the double solution coefficients, then run the length-n
       // combination in the engine's own precision.
-      std::vector<S> y(k);
-      for (std::size_t i = 0; i < k; ++i) y[i] = static_cast<S>(solve.y[i]);
-      la::gemv(S(1), q.view(k), std::span<const S>(y.data(), k), S(0),
+      y_.resize(k);
+      for (std::size_t i = 0; i < k; ++i) y_[i] = static_cast<S>(solve.y[i]);
+      la::gemv(S(1), q.view(k), std::span<const S>(y_.data(), k), S(0),
                std::span<S>(update.data(), n_));
       la::axpy(S(1), std::span<const S>(update.data(), n_), x_);
       (void)z;

@@ -131,14 +131,25 @@ struct GmresResult : GmresStats {
 /// inner engine: basis, Hessenberg recurrence, and orthogonalization run
 /// in float (the projected least-squares solve stays double, see
 /// dense::HessenbergQrT); control-flow comparisons are made on widened
-/// (double) values.  The double-typed ArnoldiHook protocol is preserved
-/// for the float engine by widening at each event: on_matvec_result and
-/// on_iteration_end observe double copies of the float state (narrowed
-/// back after possible mutation), a deliberate correctness-over-speed
-/// choice that only costs when a hook is installed.  The float engine
-/// does not support right preconditioning (the Preconditioner seam is
-/// double-typed; FT-GMRES inner solves never configure one) and throws
-/// std::invalid_argument if one is set.
+/// (double) values.
+///
+/// Hook events: the engine reads the hook's event mask
+/// (ArnoldiHook::events()) once, at construction, and skips every
+/// vector-valued event no installed hook consumes.  The double engine
+/// hands its arena data to the hook directly, so a skip only saves a
+/// no-op virtual call.  The float engine keeps the double-typed hook
+/// protocol by widening, and pays for that only on the events declared:
+/// on_matvec_result / on_power_computed see a double copy of the float
+/// candidate, narrowed back after possible mutation; on_iteration_end
+/// sees a widened mirror of the basis that grows with it (committed
+/// columns never change within a cycle, so each event widens only the
+/// newly committed columns: O(n k) per cycle).  The fault campaigns on
+/// the coefficient and subdiagonal targets and the bound detector
+/// consume none of the three, so a sweep pays no widening at all.
+///
+/// The float engine does not support right preconditioning (the
+/// Preconditioner seam is double-typed; FT-GMRES inner solves never
+/// configure one) and throws std::invalid_argument if one is set.
 template <typename S>
 class GmresEngineT {
 public:
@@ -251,10 +262,24 @@ private:
   /// one-vector path.
   bool commit_block();
 
+  /// Deliver on_matvec_result and, for a staged power, on_power_computed
+  /// on the candidate \p v -- whichever of the two events_ holds.  The
+  /// float engine widens \p v for the hook and narrows it back.
+  void deliver_vector_events(const ArnoldiContext& ctx, std::span<S> v,
+                             bool staged_power);
+
+  /// Deliver on_iteration_end for the iteration that left \p len basis
+  /// columns and Hessenberg column \p h (widened when T is float).  The
+  /// float engine hands out its incremental widened basis mirror.
+  template <typename T>
+  void deliver_iteration_end(const ArnoldiContext& ctx, std::size_t len,
+                             std::span<const T> h);
+
   std::span<const S> b_;
   std::span<S> x_;
   GmresOptions opts_;
   ArnoldiHook* hook_;
+  HookEvents events_; ///< hook_->events(), read once (none without a hook)
   std::size_t solve_index_;
   KrylovWorkspaceT<S>* w_;
   std::vector<double>* history_;
@@ -280,12 +305,14 @@ private:
                                 ///< later columns as it does on the
                                 ///< one-vector path
   std::vector<S> cs_, rs_;      ///< projection coeffs / TSQR R (scalar S)
+  std::vector<S> y_;            ///< narrowed projected solution (float)
   std::vector<double> cmat_, rmat_, hraw_; ///< widened recovery buffers
   // --- lockstep product-target binding (see bind_product_target) ---
   std::span<S> ext_target_;
   bool ext_bound_ = false;
   // Hook adapters for the float instantiation: double mirrors handed to
   // the double-typed hook protocol (unused, and empty, for S = double).
+  // hook_basis_ holds the widened columns 0..cols()-1 of this cycle.
   la::Vector hook_vec_;
   la::KrylovBasis hook_basis_;
   std::vector<double> hook_hcol_;

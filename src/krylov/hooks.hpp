@@ -41,12 +41,42 @@ struct ArnoldiIterationView {
   std::span<const double> h_column; ///< h(0..j+1, j), j+2 entries
 };
 
+/// Bitmask of the vector-valued hook events: the three whose delivery
+/// costs the engine O(n) work or more.  On the float inner plane each one
+/// widens float state into a double copy for the double-typed protocol
+/// (the candidate vector, a staged power, the basis), so the engine
+/// delivers -- and widens for -- only the ones some installed hook
+/// declares in ArnoldiHook::events().  The scalar events (solve and
+/// iteration begin, projection coefficients, the subdiagonal) and
+/// abort_requested() polling are always delivered.
+using HookEvents = unsigned;
+
+namespace hook_events {
+inline constexpr HookEvents none = 0;
+inline constexpr HookEvents matvec_result = 1u << 0;  ///< on_matvec_result
+inline constexpr HookEvents power_computed = 1u << 1; ///< on_power_computed
+inline constexpr HookEvents iteration_end = 1u << 2;  ///< on_iteration_end
+inline constexpr HookEvents all =
+    matvec_result | power_computed | iteration_end;
+} // namespace hook_events
+
 /// Interface for observing and (for fault injection) mutating the Arnoldi
 /// process.  Default implementations do nothing, so implementors override
-/// only the events they care about.
+/// only the events they care about -- and declare the vector-valued ones
+/// among them in events(), because the engine skips every vector-valued
+/// event no installed hook declares.
 class ArnoldiHook {
 public:
   virtual ~ArnoldiHook() = default;
+
+  /// The vector-valued events this hook consumes (see HookEvents).  The
+  /// engine reads the mask once, when it is constructed.  The default is
+  /// every event, so a hook that declares nothing receives them all;
+  /// hooks that override none of the three vector-valued events should
+  /// return hook_events::none.
+  [[nodiscard]] virtual HookEvents events() const {
+    return hook_events::all;
+  }
 
   /// A new solve is starting (FT-GMRES: a new inner solve).
   virtual void on_solve_begin(std::size_t solve_index) { (void)solve_index; }
@@ -58,7 +88,7 @@ public:
   /// orthogonalization.  May mutate \p v (models faults in the matvec).
   /// \p v is a span so the solvers can hand out arena columns directly
   /// (in s-step mode the candidate lives in the staging block, not in an
-  /// owning vector).
+  /// owning vector).  Delivered only when events() has matvec_result.
   virtual void on_matvec_result(const ArnoldiContext& ctx,
                                 std::span<double> v) {
     (void)ctx;
@@ -72,6 +102,7 @@ public:
   /// staged basis BEFORE the block orthogonalization, so it propagates
   /// into every later column of the block (the `fault_target=powers`
   /// scenario axis).  Never fires on the one-vector-at-a-time path.
+  /// Delivered only when events() has power_computed.
   virtual void on_power_computed(const ArnoldiContext& ctx,
                                  std::size_t power_index,
                                  std::size_t block_size,
@@ -108,6 +139,7 @@ public:
   /// Not called when the iteration ends in breakdown or abort.  Intended
   /// for whole-iteration invariant checks (Online-ABFT style); such
   /// checks cost O(n) or more, unlike the O(1) coefficient bound check.
+  /// Delivered only when events() has iteration_end.
   virtual void on_iteration_end(const ArnoldiContext& ctx,
                                 const ArnoldiIterationView& view) {
     (void)ctx;
@@ -130,6 +162,13 @@ public:
       : hooks_(std::move(hooks)) {}
 
   void add(ArnoldiHook* hook) { hooks_.push_back(hook); }
+
+  /// The union of the members' masks (none for an empty chain).
+  [[nodiscard]] HookEvents events() const override {
+    HookEvents mask = hook_events::none;
+    for (const ArnoldiHook* h : hooks_) mask |= h->events();
+    return mask;
+  }
 
   void on_solve_begin(std::size_t solve_index) override {
     for (ArnoldiHook* h : hooks_) h->on_solve_begin(solve_index);

@@ -57,6 +57,9 @@ public:
   AbftMonitor(const krylov::LinearOperator& A, AbftOptions opts = {});
 
   // --- krylov::ArnoldiHook ---
+  [[nodiscard]] krylov::HookEvents events() const override {
+    return krylov::hook_events::iteration_end;
+  }
   void on_solve_begin(std::size_t solve_index) override;
   void on_iteration_end(const krylov::ArnoldiContext& ctx,
                         const krylov::ArnoldiIterationView& view) override;

@@ -66,6 +66,9 @@ public:
       double bound, DetectorResponse response = DetectorResponse::RecordOnly);
 
   // --- krylov::ArnoldiHook ---
+  [[nodiscard]] krylov::HookEvents events() const override {
+    return krylov::hook_events::none;
+  }
   void on_solve_begin(std::size_t solve_index) override;
   void on_projection_coefficient(const krylov::ArnoldiContext& ctx,
                                  std::size_t i, std::size_t mgs_steps,

@@ -5,6 +5,18 @@
 
 namespace sdcgmres::sdc {
 
+krylov::HookEvents FaultCampaign::events() const {
+  switch (plan_.target) {
+    case InjectionTarget::MatvecElement:
+      return krylov::hook_events::matvec_result;
+    case InjectionTarget::PowerElement:
+      return krylov::hook_events::power_computed;
+    case InjectionTarget::ProjectionCoefficient:
+    case InjectionTarget::SubdiagonalNorm: break;
+  }
+  return krylov::hook_events::none;
+}
+
 void FaultCampaign::on_solve_begin(std::size_t solve_index) {
   (void)solve_index; // aggregate counting continues across solves
 }

@@ -72,6 +72,8 @@ public:
   explicit FaultCampaign(InjectionPlan plan) : plan_(plan) {}
 
   // --- krylov::ArnoldiHook ---
+  /// matvec_result or power_computed for those targets, otherwise none.
+  [[nodiscard]] krylov::HookEvents events() const override;
   void on_solve_begin(std::size_t solve_index) override;
   void on_iteration_begin(const krylov::ArnoldiContext& ctx) override;
   void on_matvec_result(const krylov::ArnoldiContext& ctx,
@@ -118,6 +120,9 @@ public:
   RecurringFaultCampaign(std::size_t first_iteration, std::size_t period,
                          MgsPosition position, FaultModel model);
 
+  [[nodiscard]] krylov::HookEvents events() const override {
+    return krylov::hook_events::none;
+  }
   void on_iteration_begin(const krylov::ArnoldiContext& ctx) override;
   void on_projection_coefficient(const krylov::ArnoldiContext& ctx,
                                  std::size_t i, std::size_t mgs_steps,
