@@ -143,6 +143,22 @@ public:
     return static_cast<double>(r_[i + j * max_cols_]);
   }
 
+  /// Solve R y = g over the k columns appended so far by back-substitution
+  /// into \p y (size() entries), in double like r_block()/rhs_block():
+  /// the Standard policy's projected solve without the by-value copies.
+  /// Same operation order as dense::back_substitute(r_block(),
+  /// rhs_block()), so y is bitwise equal to it -- including the IEEE
+  /// Inf/NaN a zero diagonal produces.
+  void back_substitute(std::span<double> y) const {
+    for (std::size_t ii = k_; ii-- > 0;) {
+      double sum = static_cast<double>(g_[ii]);
+      for (std::size_t j = ii + 1; j < k_; ++j) {
+        sum -= static_cast<double>(r_[ii + j * max_cols_]) * y[j];
+      }
+      y[ii] = sum / static_cast<double>(r_[ii + ii * max_cols_]);
+    }
+  }
+
   /// Leading k x k block of the triangular factor as a dense (double)
   /// matrix, by value; float factors are widened entry-wise.
   [[nodiscard]] la::DenseMatrix r_block() const {

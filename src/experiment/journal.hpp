@@ -105,6 +105,24 @@ struct SweepProgress {
 /// on what load() throws on (corrupt interior lines, unreadable files).
 [[nodiscard]] SweepProgress tail_sweep_journal(const std::string& path);
 
+/// The shape a sweep derives from its failure-free baseline (\p result's
+/// baseline fields) and \p config's site_limit/stride: the journal header
+/// that pins it, n_points included.  Both the in-process sweep and the
+/// sharded one derive it here (defined in sweep.cpp), so a journal one of
+/// them wrote resumes under the other.  Throws std::invalid_argument,
+/// prefixed with \p caller, when the selection holds zero injection
+/// sites.
+[[nodiscard]] SweepJournalHeader sweep_header(const SweepResult& result,
+                                              const SweepConfig& config,
+                                              const std::string& caller);
+
+/// Throws std::invalid_argument, prefixed with \p caller, when \p loaded
+/// (read from \p path) was written for a different sweep than \p header:
+/// a header mismatch, or a point index past header.n_points.
+void check_journal(const SweepJournalHeader& header,
+                   const SweepJournalContents& loaded,
+                   const std::string& path, const std::string& caller);
+
 /// Append-only writer + loader of sweep journals.
 class SweepJournal {
 public:

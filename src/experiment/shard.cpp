@@ -121,26 +121,10 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
       cfg.backend->make_operator(A);
   result.set_baseline(run_baseline(*baseline_op, b, config.solver));
 
-  std::size_t last_site = result.baseline_total_inner;
-  if (config.site_limit > 0) last_site = std::min(last_site, config.site_limit);
-  const std::size_t n_points =
-      (last_site + config.stride - 1) / config.stride;
-  if (n_points == 0) {
-    throw std::invalid_argument(
-        "run_sharded_sweep: the site_limit/stride combination selects zero "
-        "injection sites");
-  }
+  const SweepJournalHeader header =
+      sweep_header(result, config, "run_sharded_sweep");
+  const std::size_t n_points = header.n_points;
   result.points.resize(n_points);
-
-  const SweepJournalHeader header{
-      .version = 2,
-      .baseline_outer = result.baseline_outer,
-      .baseline_total_inner = result.baseline_total_inner,
-      .baseline_converged = result.baseline_converged,
-      .n_points = n_points,
-      .stride = config.stride,
-      .site_limit = config.site_limit,
-  };
 
   // --- Resuming an interrupted sharded run: split the merged top-level
   // journal's completed points back out into the per-range journals the
@@ -149,20 +133,11 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
   std::vector<std::pair<std::size_t, SweepPoint>> already_done;
   if (config.resume) {
     SweepJournalContents loaded = SweepJournal::load(config.journal);
-    if (loaded.has_header && loaded.header != header) {
-      throw std::invalid_argument(
-          "run_sharded_sweep: journal '" + config.journal +
-          "' was written for a different sweep (header mismatch); delete "
-          "it or fix the scenario");
-    }
-    for (const auto& [index, point] : loaded.points) {
-      if (index >= n_points) {
-        throw std::invalid_argument(
-            "run_sharded_sweep: journal '" + config.journal +
-            "' holds point index " + std::to_string(index) +
-            " out of range (header mismatch)");
-      }
-    }
+    check_journal(header, loaded, config.journal, "run_sharded_sweep");
+    // The traffic already paid for the journaled points (the last stats
+    // record, which a merged journal ends with); the workers add only
+    // what they re-solve.
+    if (loaded.has_stats) result.operator_stats = loaded.stats.traffic;
     already_done = std::move(loaded.points);
   }
 
@@ -302,6 +277,10 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
       throw std::runtime_error("run_sharded_sweep: range journal '" + path +
                                "' lost its header during the run");
     }
+    // Each range journal's last stats record is that range's cumulative
+    // traffic (a retried attempt restores the crashed one's record), and
+    // the ranges partition the points: their sum is the sweep's traffic.
+    if (contents.has_stats) result.operator_stats += contents.stats.traffic;
     for (const auto& [index, point] : contents.points) {
       if (seen[index] == 0) merged.emplace_back(index, point);
       seen[index] = 1;
@@ -320,6 +299,12 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
             [](const auto& a, const auto& b2) { return a.first < b2.first; });
   for (auto& [index, point] : merged) point = result.points[index];
   SweepJournal::write_merged(config.journal, header, merged);
+  // Seal it with the cumulative traffic, so a resume of this journal --
+  // sharded or in-process -- restores the traffic of its points.
+  SweepJournal sealed(config.journal);
+  sealed.append_stats({.points_done = n_points,
+                       .traffic = result.operator_stats});
+  sealed.flush();
   for (std::size_t r = 0; r < n_ranges; ++r) {
     (void)::unlink(range_journal_path(config.journal, r).c_str());
   }

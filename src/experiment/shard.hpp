@@ -80,9 +80,10 @@ struct ShardReport {
 /// config.point_offset/point_count must be 0 (the shard layer owns the
 /// range split).  Throws std::runtime_error when a range exhausts
 /// max_retries.  The returned SweepResult's points and baseline fields
-/// are bitwise identical to run_injection_sweep's serial result;
-/// operator_stats only covers the parent's baseline measurement (it is
-/// outside the determinism contract).
+/// are bitwise identical to run_injection_sweep's serial result.
+/// operator_stats sums the range journals' last stats records (plus, on
+/// resume, the loaded journal's last stats record, which the merged
+/// journal ends with): at batch=1 it equals the in-process sweep's.
 [[nodiscard]] SweepResult run_sharded_sweep(const sparse::CsrMatrix& A,
                                             const la::Vector& b,
                                             const SweepConfig& config,

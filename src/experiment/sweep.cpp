@@ -204,6 +204,51 @@ void run_block(solver::FtGmresSolver& ft, const la::Vector& b,
 
 } // namespace
 
+SweepJournalHeader sweep_header(const SweepResult& result,
+                                const SweepConfig& config,
+                                const std::string& caller) {
+  std::size_t last_site = result.baseline_total_inner;
+  if (config.site_limit > 0) {
+    last_site = std::min(last_site, config.site_limit);
+  }
+  const std::size_t n_points = (last_site + config.stride - 1) / config.stride;
+  if (n_points == 0) {
+    throw std::invalid_argument(
+        caller +
+        ": the site_limit/stride combination selects zero injection sites "
+        "(baseline produced " +
+        std::to_string(result.baseline_total_inner) +
+        " inner iterations, site_limit=" + std::to_string(config.site_limit) +
+        ", stride=" + std::to_string(config.stride) + ")");
+  }
+  return {.version = 2,
+          .baseline_outer = result.baseline_outer,
+          .baseline_total_inner = result.baseline_total_inner,
+          .baseline_converged = result.baseline_converged,
+          .n_points = n_points,
+          .stride = config.stride,
+          .site_limit = config.site_limit};
+}
+
+void check_journal(const SweepJournalHeader& header,
+                   const SweepJournalContents& loaded,
+                   const std::string& path, const std::string& caller) {
+  if (loaded.has_header && loaded.header != header) {
+    throw std::invalid_argument(
+        caller + ": journal '" + path +
+        "' was written for a different sweep (header mismatch); delete it "
+        "or fix the scenario");
+  }
+  for (const auto& [index, point] : loaded.points) {
+    if (index >= header.n_points) {
+      throw std::invalid_argument(
+          caller + ": journal '" + path + "' holds point index " +
+          std::to_string(index) + " but this sweep has only " +
+          std::to_string(header.n_points) + " points (header mismatch)");
+    }
+  }
+}
+
 void validate_sweep_config(const SweepConfig& config) {
   if (config.with_detector && config.detector_bound <= 0.0) {
     throw std::invalid_argument(
@@ -272,35 +317,16 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
       backend->make_operator(A);
   result.set_baseline(run_baseline(*baseline_op, b, cfg.solver));
 
-  // --- One faulty solve per (sampled) injection site. ---
-  std::size_t last_site = result.baseline_total_inner;
-  if (cfg.site_limit > 0) {
-    last_site = std::min(last_site, cfg.site_limit);
-  }
-  const std::size_t n_points = (last_site + cfg.stride - 1) / cfg.stride;
-  if (n_points == 0) {
-    throw std::invalid_argument(
-        "run_injection_sweep: the site_limit/stride combination selects "
-        "zero injection sites (baseline produced " +
-        std::to_string(result.baseline_total_inner) +
-        " inner iterations, site_limit=" + std::to_string(cfg.site_limit) +
-        ", stride=" + std::to_string(cfg.stride) + ")");
-  }
+  // --- One faulty solve per (sampled) injection site.  The journaled
+  // header pins the live sweep's measured shape: resuming some OTHER
+  // sweep's journal would silently poison the merged result.
+  const SweepJournalHeader header =
+      sweep_header(result, cfg, "run_injection_sweep");
+  const std::size_t n_points = header.n_points;
   result.points.resize(n_points);
 
   // --- Checkpoint/resume: load the journal, mark completed points, and
-  // open the append writer.  The journaled header must match the live
-  // sweep's measured shape -- resuming some OTHER sweep's journal would
-  // silently poison the merged result.
-  const SweepJournalHeader header{
-      .version = 2,
-      .baseline_outer = result.baseline_outer,
-      .baseline_total_inner = result.baseline_total_inner,
-      .baseline_converged = result.baseline_converged,
-      .n_points = n_points,
-      .stride = cfg.stride,
-      .site_limit = cfg.site_limit,
-  };
+  // open the append writer.
   std::vector<char> done(n_points, 0);
   std::optional<SweepJournal> writer;
   // Traffic baseline restored from the journal's last stats record: the
@@ -314,20 +340,8 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
   if (!cfg.journal.empty()) {
     if (cfg.resume) {
       SweepJournalContents loaded = SweepJournal::load(cfg.journal);
-      if (loaded.has_header && loaded.header != header) {
-        throw std::invalid_argument(
-            "run_injection_sweep: journal '" + cfg.journal +
-            "' was written for a different sweep (header mismatch); "
-            "delete it or fix the scenario");
-      }
+      check_journal(header, loaded, cfg.journal, "run_injection_sweep");
       for (const auto& [index, point] : loaded.points) {
-        if (index >= n_points) {
-          throw std::invalid_argument(
-              "run_injection_sweep: journal '" + cfg.journal +
-              "' holds point index " + std::to_string(index) +
-              " but this sweep has only " + std::to_string(n_points) +
-              " points (header mismatch)");
-        }
         result.points[index] = point; // duplicates: last occurrence wins
         done[index] = 1;
       }

@@ -1,6 +1,7 @@
 #include "krylov/ft_gmres.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace sdcgmres::krylov {
 
@@ -43,46 +44,73 @@ void InnerSolveLedger::record(std::size_t solve_index,
   pending_ = {};
 }
 
-GmresEngine InnerGmresPreconditioner::make_engine(std::span<const double> q,
-                                                  std::size_t outer_index,
-                                                  std::span<double> z) {
-  // Zero initial guess, solved in place in the caller's z storage; the
-  // inner solve never sees an owning vector (b is the outer basis column,
-  // x the outer Z-arena column).
-  cur_q_ = q;
+template <typename S>
+GmresEngineT<S> InnerGmresT<S>::make_engine(std::span<const double> q,
+                                            std::size_t outer_index,
+                                            std::span<double> z) {
+  // Zero initial guess.  The double plane solves in place in the caller's
+  // storage (b is the outer basis column, x the outer Z-arena column); the
+  // float plane solves on narrowed staging copies of the two.
   cur_z_ = z;
   const GmresOptions opts = begin_solve(outer_index);
-  std::fill(z.begin(), z.end(), 0.0);
-  return GmresEngine(*a_, q, z, opts, hook_, outer_index, workspace(),
-                     /*residual_history=*/nullptr);
+  if constexpr (std::is_same_v<S, double>) {
+    cur_b_ = q;
+    cur_x_ = z;
+  } else {
+    q_staged_.resize(q.size());
+    z_staged_.resize(z.size());
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      q_staged_[i] = static_cast<S>(q[i]);
+    }
+    cur_b_ = q_staged_.span();
+    cur_x_ = z_staged_.span();
+  }
+  std::fill(cur_x_.begin(), cur_x_.end(), S(0));
+  return GmresEngineT<S>(*a_, cur_b_, cur_x_, opts, hook_, outer_index,
+                         workspace(), /*residual_history=*/nullptr);
 }
 
-GmresEngine InnerGmresPreconditioner::make_reliable_retry(
-    const GmresEngine& aborted) {
+template <typename S>
+void InnerGmresT<S>::finish_engine(const GmresEngineT<S>& engine) {
+  if constexpr (!std::is_same_v<S, double>) {
+    for (std::size_t i = 0; i < cur_z_.size(); ++i) {
+      cur_z_[i] = static_cast<double>(cur_x_[i]);
+    }
+  }
+  record(engine.solve_index(), engine.stats());
+}
+
+template <typename S>
+GmresEngineT<S> InnerGmresT<S>::make_reliable_retry(
+    const GmresEngineT<S>& aborted) {
   // Rebuild the identical solve with the hook detached: no campaign can
   // re-inject and no detector can re-abort -- the recompute is reliable.
   const GmresOptions opts = begin_retry(aborted.stats());
-  std::fill(cur_z_.begin(), cur_z_.end(), 0.0);
-  return GmresEngine(*a_, cur_q_, cur_z_, opts, /*hook=*/nullptr,
-                     current_outer(), workspace(),
-                     /*residual_history=*/nullptr);
+  std::fill(cur_x_.begin(), cur_x_.end(), S(0));
+  return GmresEngineT<S>(*a_, cur_b_, cur_x_, opts, /*hook=*/nullptr,
+                         current_outer(), workspace(),
+                         /*residual_history=*/nullptr);
 }
 
-void InnerGmresPreconditioner::apply(std::span<const double> q,
-                                     std::size_t outer_index,
-                                     std::span<double> z) {
+template <typename S>
+void InnerGmresT<S>::apply(std::span<const double> q, std::size_t outer_index,
+                           std::span<double> z) {
   // The straight-through drive of the shared engine (the lockstep driver
   // runs the same protocol with the products fused per block, including
   // the reliable-retry turnover below).
-  GmresEngine engine = make_engine(q, outer_index, z);
+  GmresEngineT<S> engine = make_engine(q, outer_index, z);
   drive_to_completion(*a_, engine);
   if (wants_reliable_retry(engine)) {
-    GmresEngine retry = make_reliable_retry(engine);
+    GmresEngineT<S> retry = make_reliable_retry(engine);
     drive_to_completion(*a_, retry);
     finish_engine(retry);
     return;
   }
   finish_engine(engine);
 }
+
+// The two inner data planes.
+template class InnerGmresT<double>;
+template class InnerGmresT<float>;
 
 } // namespace sdcgmres::krylov

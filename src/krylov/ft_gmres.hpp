@@ -68,13 +68,13 @@ struct FtGmresOptions {
                        ///< flexible outer absorbs it like any other inner
                        ///< perturbation.  The outer iteration is always
                        ///< double.
-  IndexWidth index_width = IndexWidth::I64; ///< CSR index width of the
+  IndexWidth index_width = IndexWidth::I64; ///< index width of the
                        ///< inner-solve mirror; I32 halves index traffic
                        ///< (narrowing validates, throws on overflow) and
                        ///< never changes arithmetic, so double/I32 results
                        ///< are bitwise identical to the default.  Any
                        ///< non-default (precision, index_width) pair
-                       ///< requires a CSR-backed operator.
+                       ///< requires a matrix-backed (csr/sell) operator.
 
   /// Paper-style defaults: 25 fixed inner iterations, outer tol 1e-8.
   FtGmresOptions() {
@@ -110,9 +110,7 @@ struct FtGmresResult : NestedCounters {
 /// options (CGS2 swapped in for the first inner solve when
 /// robust_first_solve is set, paper Section VII-E-1), the RetryReliable
 /// turnover with its carried-over effort, the RestartOuter flag, and the
-/// records.  InnerGmresPreconditioner (double plane) and
-/// MixedInnerGmresT (narrowed plane, krylov/mixed.hpp) derive from it, so
-/// the two planes can never diverge in options plumbing or records.
+/// records.  InnerGmresT derives from it on every plane.
 class InnerSolveLedger {
 public:
   InnerSolveLedger(const GmresOptions& opts, bool robust_first_solve,
@@ -184,19 +182,26 @@ private:
 };
 
 /// Inner GMRES exposed as a flexible preconditioner: each application
-/// approximately solves A z = q from a zero initial guess, running
-/// span-to-span out of the outer solver's arenas (q is an outer basis
-/// column, z an outer Z-arena column; no owning la::Vector crosses the
-/// boundary).  The optional hook observes/corrupts the inner Arnoldi
-/// process; the hook's solve_index equals the outer iteration index.
+/// approximately solves A z = q from a zero initial guess.  The optional
+/// hook observes/corrupts the inner Arnoldi process; the hook's
+/// solve_index equals the outer iteration index.
+///
+/// Typed on the scalar S of the inner data plane, streaming a
+/// LinearOperatorT<S>.  With S = double (InnerGmresPreconditioner) the
+/// solve runs span-to-span in place, out of the outer solver's arenas
+/// (q is an outer basis column, z an outer Z-arena column), whatever the
+/// operator's index width.  With S = float the outer residual column q
+/// is narrowed into per-instance staging on entry and the inner
+/// correction widened into z on exit.
 ///
 /// There is ONE construction path for the inner solve -- make_engine() --
 /// shared by apply() (the straight-through drive FT-CG uses) and the
 /// FT-GMRES lockstep driver (krylov/ft_gmres_batch.cpp, which interleaves
 /// the engines of B instances so each inner Arnoldi iteration issues one
 /// fused apply_block).  finish_engine() closes the bookkeeping either way.
-class InnerGmresPreconditioner final : public FlexiblePreconditioner,
-                                       public InnerSolveLedger {
+template <typename S>
+class InnerGmresT final : public FlexiblePreconditioner,
+                          public InnerSolveLedger {
 public:
   /// \param ws optional reusable workspace for the inner solves; one inner
   ///        solve runs per outer iteration, so a matching workspace makes
@@ -204,11 +209,10 @@ public:
   ///        falls back to an internally owned workspace (same reuse
   ///        semantics, same results -- workspace contents never leak
   ///        between solves).
-  InnerGmresPreconditioner(const LinearOperator& A, const GmresOptions& opts,
-                           ArnoldiHook* hook = nullptr,
-                           bool robust_first_solve = false,
-                           KrylovWorkspace* ws = nullptr,
-                           InnerRecovery recovery = InnerRecovery::None)
+  InnerGmresT(const LinearOperatorT<S>& A, const GmresOptions& opts,
+              ArnoldiHook* hook = nullptr, bool robust_first_solve = false,
+              KrylovWorkspaceT<S>* ws = nullptr,
+              InnerRecovery recovery = InnerRecovery::None)
       : InnerSolveLedger(opts, robust_first_solve, recovery), a_(&A),
         hook_(hook), ws_(ws) {}
 
@@ -216,40 +220,51 @@ public:
   void apply(std::span<const double> q, std::size_t outer_index,
              std::span<double> z) override;
 
-  /// Batch seam: zero-fill \p z and construct the step-driveable engine
-  /// of the inner solve for outer iteration \p outer_index (b = \p q, the
-  /// outer basis column; x = \p z, the outer Z-arena column).  The caller
+  /// Batch seam: stage \p q as the right-hand side (narrowed when S is
+  /// float), zero the iterate, and construct the step-driveable engine of
+  /// the inner solve for outer iteration \p outer_index.  The caller
   /// drives the engine to completion -- alone or interleaved with other
   /// instances -- and then hands it to finish_engine().
-  [[nodiscard]] GmresEngine make_engine(std::span<const double> q,
-                                        std::size_t outer_index,
-                                        std::span<double> z);
+  [[nodiscard]] GmresEngineT<S> make_engine(std::span<const double> q,
+                                            std::size_t outer_index,
+                                            std::span<double> z);
 
-  /// Record the finished engine's inner-solve bookkeeping.
-  void finish_engine(const GmresEngine& engine) {
-    record(engine.solve_index(), engine.stats());
-  }
+  /// Record the finished engine's inner-solve bookkeeping (widening the
+  /// correction into the outer column first when S is float).
+  void finish_engine(const GmresEngineT<S>& engine);
 
   /// Build the reliable recomputation of the flagged inner solve: same
   /// operands and options as the engine make_engine() last produced, but
   /// with the hook detached -- injection disabled, the paper's
-  /// selective-reliability recompute.
-  [[nodiscard]] GmresEngine make_reliable_retry(const GmresEngine& aborted);
+  /// selective-reliability recompute.  The retry stays at the plane's
+  /// precision: reduced precision is a configuration, not a fault.
+  [[nodiscard]] GmresEngineT<S> make_reliable_retry(
+      const GmresEngineT<S>& aborted);
 
 private:
-  [[nodiscard]] KrylovWorkspace& workspace() noexcept {
+  [[nodiscard]] KrylovWorkspaceT<S>& workspace() noexcept {
     return ws_ != nullptr ? *ws_ : fallback_ws_;
   }
 
-  const LinearOperator* a_;
+  const LinearOperatorT<S>* a_;
   ArnoldiHook* hook_;
-  KrylovWorkspace* ws_;
-  KrylovWorkspace fallback_ws_;
+  KrylovWorkspaceT<S>* ws_;
+  KrylovWorkspaceT<S> fallback_ws_;
   // Operands of the engine make_engine() last produced, kept so
-  // make_reliable_retry can rebuild the same solve hook-free.
-  std::span<const double> cur_q_;
+  // make_reliable_retry can rebuild the same solve hook-free: the outer
+  // column the correction lands in, and the engine's b / x (the outer
+  // columns themselves for S = double, the float staging otherwise).
   std::span<double> cur_z_;
+  std::span<const S> cur_b_;
+  std::span<S> cur_x_;
+  // Float staging of b / x (stable storage: live engines hold spans into
+  // it); unused for S = double.
+  la::VectorT<S> q_staged_;
+  la::VectorT<S> z_staged_;
 };
+
+/// The double-plane inner solve (FT-GMRES's default, and FT-CG's).
+using InnerGmresPreconditioner = InnerGmresT<double>;
 
 /// Solve A x = b with FT-GMRES from a zero initial guess: a batch of one
 /// through the lockstep driver (defined in ft_gmres_batch.cpp).

@@ -26,18 +26,18 @@ namespace {
 /// block skips the staging copies and applies directly -- same operand,
 /// same values, no detour.
 ///
-/// Generic over the inner plane: Op is the LinearOperator on the default
-/// double path or a MixedCsrOperator mirror, S its scalar; the staging
-/// blocks are typed to match.
-template <typename Op, typename S, typename OnDone>
-void step_inner_block(const Op& A, std::vector<GmresEngineT<S>>& inners,
+/// Typed on the inner plane's scalar S: A is the original operator or its
+/// narrowed mirror, and the staging blocks are typed to match.
+template <typename S, typename OnDone>
+void step_inner_block(const LinearOperatorT<S>& A,
+                      std::vector<GmresEngineT<S>>& inners,
                       std::vector<std::size_t>& live,
                       std::vector<std::size_t>& still_live,
                       la::BlockWorkspaceT<S>& directions,
                       la::BlockWorkspaceT<S>& products, OnDone&& on_done) {
   const std::size_t cols = live.size();
   if (cols == 1) {
-    if (step_with_apply_t(A, inners[live[0]]) && !on_done(live[0]))
+    if (step_with_apply(A, inners[live[0]]) && !on_done(live[0]))
       live.clear();
     return;
   }
@@ -78,68 +78,29 @@ void step_inner_block(const Op& A, std::vector<GmresEngineT<S>>& inners,
   live.swap(still_live);
 }
 
-/// Inner-plane facade of the default path: inner products stream the
-/// original double operator and the inner lockstep phase shares the
-/// outer phase's staging blocks (the two levels never overlap in time).
-struct DoublePlaneFacade {
-  using Scalar = double;
-  using Precond = InnerGmresPreconditioner;
-
-  const LinearOperator* a;
-  LockstepStaging* st;
-
-  [[nodiscard]] const LinearOperator& inner_op() const noexcept { return *a; }
-  [[nodiscard]] la::BlockWorkspace& directions() const noexcept {
-    return st->directions;
-  }
-  [[nodiscard]] la::BlockWorkspace& products() const noexcept {
-    return st->products;
-  }
-  [[nodiscard]] Precond make_precond(FtGmresWorkspace& slot,
-                                     const FtGmresOptions& opts,
-                                     ArnoldiHook* hook) const {
-    return Precond(*a, opts.inner, hook, opts.robust_first_inner,
-                   &slot.inner, opts.recovery);
-  }
-};
-
-/// Inner-plane facade of a mixed configuration: inner products stream
-/// the narrowed <S, I> mirror (one copy shared by the whole batch); a
-/// float plane stages through the dedicated float blocks, the
-/// (double, int32) plane reuses the double blocks bit-for-bit.
+/// The S-typed inner workspace slot of an instance and the S-typed
+/// staging blocks of the inner lockstep phase: the double plane reuses
+/// the standard inner slot and shares the outer phase's staging blocks
+/// (the two levels never overlap in time); the float plane uses the
+/// dedicated float arena and blocks.
 template <typename S>
-struct MixedPlaneFacade {
-  using Scalar = S;
-  using Precond = MixedInnerGmresT<S>;
+KrylovWorkspaceT<S>& inner_workspace(FtGmresWorkspace& w) noexcept {
+  if constexpr (std::is_same_v<S, double>) {
+    return w.inner;
+  } else {
+    return w.inner_f32;
+  }
+}
 
-  MixedPlaneOf<S>* plane;
-  LockstepStaging* st;
-
-  [[nodiscard]] const MixedOperatorT<S>& inner_op() const noexcept {
-    return plane->typed_op();
+template <typename S>
+std::pair<la::BlockWorkspaceT<S>&, la::BlockWorkspaceT<S>&>
+inner_staging(LockstepStaging& st) noexcept {
+  if constexpr (std::is_same_v<S, double>) {
+    return {st.directions, st.products};
+  } else {
+    return {st.directions_f32, st.products_f32};
   }
-  [[nodiscard]] la::BlockWorkspaceT<S>& directions() const noexcept {
-    if constexpr (std::is_same_v<S, double>) {
-      return st->directions;
-    } else {
-      return st->directions_f32;
-    }
-  }
-  [[nodiscard]] la::BlockWorkspaceT<S>& products() const noexcept {
-    if constexpr (std::is_same_v<S, double>) {
-      return st->products;
-    } else {
-      return st->products_f32;
-    }
-  }
-  [[nodiscard]] Precond make_precond(FtGmresWorkspace& slot,
-                                     const FtGmresOptions& opts,
-                                     ArnoldiHook* hook) const {
-    return Precond(plane->typed_op(), opts.inner, hook,
-                   opts.robust_first_inner, inner_workspace_for<S>(slot),
-                   opts.recovery);
-  }
-};
+}
 
 /// Assemble an FtGmresResult from the outer FGMRES result and the inner
 /// solves' ledger.
@@ -155,19 +116,20 @@ FtGmresResult make_ft_gmres_result(FgmresResult&& outer,
   return result;
 }
 
-/// The lockstep driver, generic over the inner plane.  The outer
-/// (reliable) phase always runs in double against the original operator;
-/// only the inner phase's engines, staging, and products are typed on
-/// the plane's scalar.  \p slots holds one nested workspace per
-/// instance.
-template <typename Plane>
+/// The lockstep driver, typed on the inner plane's scalar S.  The outer
+/// (reliable) phase always runs in double against the original operator
+/// \p A; the inner solves stream \p inner_op (A itself on the default
+/// plane, else its narrowed mirror), and only the inner phase's engines,
+/// staging, and products are typed on S.  \p slots holds one nested
+/// workspace per instance.
+template <typename S>
 std::vector<FtGmresResult> ft_gmres_lockstep(
-    const LinearOperator& A, const Plane& plane,
+    const LinearOperator& A, const LinearOperatorT<S>& inner_op,
     std::span<const std::span<const double>> bs, const FtGmresOptions& opts,
     std::span<ArnoldiHook* const> inner_hooks,
     std::span<FtGmresWorkspace> slots, LockstepStaging& st) {
-  using S = typename Plane::Scalar;
   const std::size_t batch = bs.size();
+  auto [inner_directions, inner_products] = inner_staging<S>(st);
   std::vector<FtGmresResult> results(batch);
 
   // A batch of one applies directly and never touches the staging
@@ -177,20 +139,21 @@ std::vector<FtGmresResult> ft_gmres_lockstep(
   if (batch > 1) {
     st.directions.reserve(A.cols(), batch);
     st.products.reserve(A.rows(), batch);
-    plane.directions().reserve(A.cols(), batch);
-    plane.products().reserve(A.rows(), batch);
+    inner_directions.reserve(A.cols(), batch);
+    inner_products.reserve(A.rows(), batch);
   }
 
   // Paper protocol (same as ft_gmres): every instance starts from zero.
   const la::Vector x0(A.cols());
 
-  std::vector<typename Plane::Precond> inner;
+  std::vector<InnerGmresT<S>> inner;
   inner.reserve(batch);
   std::vector<FgmresEngine> engines;
   engines.reserve(batch);
   for (std::size_t i = 0; i < batch; ++i) {
     ArnoldiHook* hook = inner_hooks.empty() ? nullptr : inner_hooks[i];
-    inner.push_back(plane.make_precond(slots[i], opts, hook));
+    inner.emplace_back(inner_op, opts.inner, hook, opts.robust_first_inner,
+                       &inner_workspace<S>(slots[i]), opts.recovery);
     engines.emplace_back(A, bs[i], x0.span(), opts.outer, slots[i].outer);
   }
 
@@ -231,15 +194,15 @@ std::vector<FtGmresResult> ft_gmres_lockstep(
       inner_live.push_back(s);
     }
     while (!inner_live.empty()) {
-      step_inner_block(plane.inner_op(), inners, inner_live, inner_scratch,
-                       plane.directions(), plane.products(),
+      step_inner_block(inner_op, inners, inner_live, inner_scratch,
+                       inner_directions, inner_products,
                        [&](std::size_t s) {
                          // Terminal inner engine: the RetryReliable policy
                          // replaces a detector-aborted engine in place with
                          // its hook-free recompute (same operands, same
                          // lockstep slot), which simply keeps iterating in
                          // the block.
-                         typename Plane::Precond& p = inner[active[s]];
+                         InnerGmresT<S>& p = inner[active[s]];
                          if (!p.wants_reliable_retry(inners[s])) return false;
                          inners[s] = p.make_reliable_retry(inners[s]);
                          return true;
@@ -315,23 +278,16 @@ std::vector<FtGmresResult> dispatch_lockstep(
     const FtGmresOptions& opts, std::span<ArnoldiHook* const> inner_hooks,
     std::span<FtGmresWorkspace> slots, LockstepStaging& st,
     std::shared_ptr<MixedPlaneBase>& plane_cache) {
+  const bool i32 = opts.index_width == IndexWidth::I32;
   if (opts.precision == Precision::Float) {
-    if (opts.index_width == IndexWidth::I32) {
-      const MixedPlaneFacade<float> plane{
-          &ensure_plane<float, std::int32_t>(plane_cache, A), &st};
-      return ft_gmres_lockstep(A, plane, bs, opts, inner_hooks, slots, st);
-    }
-    const MixedPlaneFacade<float> plane{
-        &ensure_plane<float, std::int64_t>(plane_cache, A), &st};
-    return ft_gmres_lockstep(A, plane, bs, opts, inner_hooks, slots, st);
+    const LinearOperatorT<float>& inner =
+        i32 ? ensure_plane<float, std::int32_t>(plane_cache, A)
+            : ensure_plane<float, std::int64_t>(plane_cache, A);
+    return ft_gmres_lockstep(A, inner, bs, opts, inner_hooks, slots, st);
   }
-  if (opts.index_width == IndexWidth::I32) {
-    const MixedPlaneFacade<double> plane{
-        &ensure_plane<double, std::int32_t>(plane_cache, A), &st};
-    return ft_gmres_lockstep(A, plane, bs, opts, inner_hooks, slots, st);
-  }
-  const DoublePlaneFacade plane{&A, &st};
-  return ft_gmres_lockstep(A, plane, bs, opts, inner_hooks, slots, st);
+  const LinearOperator& inner =
+      i32 ? ensure_plane<double, std::int32_t>(plane_cache, A) : A;
+  return ft_gmres_lockstep(A, inner, bs, opts, inner_hooks, slots, st);
 }
 
 } // namespace

@@ -22,10 +22,16 @@ namespace sdcgmres::krylov {
 // (one per lockstep instance) so their products fuse into block applies.
 // Any change to the iteration math happens HERE and nowhere else.
 //
-// Workspace layout (all checked out of the bound KrylovWorkspace; with a
-// reused workspace of matching shape nothing on the solve path touches the
-// heap): scratch(0) = residual r, scratch(1) = Arnoldi candidate v,
-// scratch(2) = preconditioned direction z, scratch(3) = Q_k y at cycle end.
+// Workspace layout (all checked out of the bound KrylovWorkspace):
+// scratch(0) = residual r, scratch(1) = Arnoldi candidate v, scratch(2) =
+// preconditioned direction z, scratch(3) = Q_k y at cycle end; lsq_y /
+// lsq_y_narrow hold the projected solution.  With a reused workspace of
+// matching shape, a one-vector (s = 1) solve under the Standard
+// least-squares policy with no hook touches no heap (pinned by
+// krylov_alloc_test).  What still allocates: the SVD policies
+// (dense::solve_projected returns by value), the s-step buffers (hmat_,
+// cs_/rs_, cmat_/rmat_/hraw_: engine-owned, sized per solve), and the
+// float engine's hook mirrors (hook_vec_, hook_basis_, hook_hcol_).
 // ---------------------------------------------------------------------------
 
 template <typename S>
@@ -553,18 +559,29 @@ bool GmresEngineT<S>::finish_cycle(bool aborted, bool breakdown,
   }
   const std::size_t k = qr.size();
   if (k > 0) {
-    // The projected least-squares solve is ALWAYS double: r_block() /
-    // rhs_block() widen float factors (O(restart^2) work, negligible
-    // against the length-n streams that the float plane narrows).
-    const auto solve = dense::solve_projected(qr.r_block(), qr.rhs_block(),
-                                              opts_.lsq_policy,
-                                              opts_.truncation_tol);
-    stats_.lsq_effective_rank = solve.effective_rank;
-    stats_.lsq_fallback_triggered = solve.fallback_triggered;
+    // The projected least-squares solve is ALWAYS double (O(restart^2)
+    // work, negligible against the length-n streams that the float plane
+    // narrows).  The Standard policy back-substitutes straight out of the
+    // factorization into workspace storage; the SVD policies go through
+    // dense::solve_projected.
+    std::vector<double>& y = w_->lsq_y;
+    y.resize(k);
+    if (opts_.lsq_policy == dense::LsqPolicy::Standard) {
+      qr.back_substitute(y);
+      stats_.lsq_effective_rank = k;
+      stats_.lsq_fallback_triggered = false;
+    } else {
+      const auto solve = dense::solve_projected(qr.r_block(), qr.rhs_block(),
+                                                opts_.lsq_policy,
+                                                opts_.truncation_tol);
+      stats_.lsq_effective_rank = solve.effective_rank;
+      stats_.lsq_fallback_triggered = solve.fallback_triggered;
+      std::copy(solve.y.span().begin(), solve.y.span().end(), y.begin());
+    }
     if constexpr (std::is_same_v<S, double>) {
       // update := Q_k y as one gemv over the contiguous block.
-      la::gemv(1.0, q.view(k), std::span<const double>(solve.y.data(), k),
-               0.0, std::span<double>(update.data(), n_));
+      la::gemv(1.0, q.view(k), std::span<const double>(y.data(), k), 0.0,
+               std::span<double>(update.data(), n_));
       if (opts_.right_precond != nullptr) {
         opts_.right_precond->apply(std::span<const double>(update.data(), n_),
                                    z.span());
@@ -575,9 +592,10 @@ bool GmresEngineT<S>::finish_cycle(bool aborted, bool breakdown,
     } else {
       // Narrow the double solution coefficients, then run the length-n
       // combination in the engine's own precision.
-      y_.resize(k);
-      for (std::size_t i = 0; i < k; ++i) y_[i] = static_cast<S>(solve.y[i]);
-      la::gemv(S(1), q.view(k), std::span<const S>(y_.data(), k), S(0),
+      std::vector<S>& ys = w_->lsq_y_narrow;
+      ys.resize(k);
+      for (std::size_t i = 0; i < k; ++i) ys[i] = static_cast<S>(y[i]);
+      la::gemv(S(1), q.view(k), std::span<const S>(ys.data(), k), S(0),
                std::span<S>(update.data(), n_));
       la::axpy(S(1), std::span<const S>(update.data(), n_), x_);
       (void)z;
@@ -609,7 +627,8 @@ bool GmresEngineT<S>::finish_cycle(bool aborted, bool breakdown,
 template class GmresEngineT<double>;
 template class GmresEngineT<float>;
 
-bool step_with_apply(const LinearOperator& A, GmresEngine& engine) {
+template <typename S>
+bool step_with_apply(const LinearOperatorT<S>& A, GmresEngineT<S>& engine) {
   if (engine.awaiting_residual()) {
     A.apply(engine.residual_operand(), engine.residual_target());
     return engine.start_cycle();
@@ -619,9 +638,18 @@ bool step_with_apply(const LinearOperator& A, GmresEngine& engine) {
   return engine.advance();
 }
 
-void drive_to_completion(const LinearOperator& A, GmresEngine& engine) {
+template <typename S>
+void drive_to_completion(const LinearOperatorT<S>& A,
+                         GmresEngineT<S>& engine) {
   while (!engine.finished()) step_with_apply(A, engine);
 }
+
+template bool step_with_apply(const LinearOperator&, GmresEngine&);
+template bool step_with_apply(const LinearOperatorT<float>&,
+                              GmresEngineT<float>&);
+template void drive_to_completion(const LinearOperator&, GmresEngine&);
+template void drive_to_completion(const LinearOperatorT<float>&,
+                                  GmresEngineT<float>&);
 
 GmresStats gmres_in_place(const LinearOperator& A, std::span<const double> b,
                           std::span<double> x, const GmresOptions& opts,

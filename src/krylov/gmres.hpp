@@ -84,7 +84,7 @@ struct GmresResult : GmresStats {
 
 /// Step-driveable GMRES: the single implementation behind gmres(),
 /// gmres_in_place(), and the FT-GMRES inner solve
-/// (InnerGmresPreconditioner).  Mirrors krylov::FgmresEngine: the
+/// (InnerGmresT).  Mirrors krylov::FgmresEngine: the
 /// iteration is split at its external data dependencies -- the operator
 /// applications -- so a lockstep driver can interleave many engines and
 /// fuse their products into one apply_block per step.
@@ -163,10 +163,10 @@ public:
                std::size_t solve_index, KrylovWorkspaceT<S>& ws,
                std::vector<double>* residual_history);
 
-  /// Convenience: shapes taken from a LinearOperator (the operator itself
-  /// is not retained -- products are always caller-provided).
-  GmresEngineT(const LinearOperator& A, std::span<const S> b, std::span<S> x,
-               const GmresOptions& opts, ArnoldiHook* hook,
+  /// Convenience: shapes taken from an operator (the operator itself is
+  /// not retained -- products are always caller-provided).
+  GmresEngineT(const LinearOperatorT<S>& A, std::span<const S> b,
+               std::span<S> x, const GmresOptions& opts, ArnoldiHook* hook,
                std::size_t solve_index, KrylovWorkspaceT<S>& ws,
                std::vector<double>* residual_history)
       : GmresEngineT(A.rows(), A.cols(), b, x, opts, hook, solve_index, ws,
@@ -305,7 +305,6 @@ private:
                                 ///< later columns as it does on the
                                 ///< one-vector path
   std::vector<S> cs_, rs_;      ///< projection coeffs / TSQR R (scalar S)
-  std::vector<S> y_;            ///< narrowed projected solution (float)
   std::vector<double> cmat_, rmat_, hraw_; ///< widened recovery buffers
   // --- lockstep product-target binding (see bind_product_target) ---
   std::span<S> ext_target_;
@@ -325,14 +324,18 @@ using GmresEngine = GmresEngineT<double>;
 /// awaiting_residual(), else begin_iteration() + Arnoldi product +
 /// advance().  Returns finished().  This is the unit the batch driver's
 /// one-live-engine tails reuse; lockstep blocks run the same step with
-/// the product replaced by a fused apply_block column.
-bool step_with_apply(const LinearOperator& A, GmresEngine& engine);
+/// the product replaced by a fused apply_block column.  Instantiated for
+/// the double and float planes.
+template <typename S>
+bool step_with_apply(const LinearOperatorT<S>& A, GmresEngineT<S>& engine);
 
 /// Drive \p engine to completion with solo operator applications -- the
 /// canonical straight-through loop (shown in the GmresEngine docs),
-/// shared by gmres_in_place() and InnerGmresPreconditioner::apply() so
-/// the protocol exists exactly once.
-void drive_to_completion(const LinearOperator& A, GmresEngine& engine);
+/// shared by gmres_in_place() and InnerGmresT::apply() so the protocol
+/// exists exactly once.
+template <typename S>
+void drive_to_completion(const LinearOperatorT<S>& A,
+                         GmresEngineT<S>& engine);
 
 /// Span-core GMRES: solve A x = b with \p x holding the initial guess on
 /// entry and the final iterate on exit.  This is the zero-copy entry point

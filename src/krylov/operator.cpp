@@ -1,20 +1,8 @@
 #include "krylov/operator.hpp"
 
-#include <stdexcept>
-
 #include "la/blas1.hpp"
 
 namespace sdcgmres::krylov {
-
-void CsrOperator::do_apply_block(const la::BasisView& x,
-                                 la::BlockView y) const {
-  if (x.rows() != a_->cols() || y.rows() != a_->rows() ||
-      x.cols() != y.cols()) {
-    throw std::invalid_argument("CsrOperator::apply_block: shape mismatch");
-  }
-  if (x.cols() == 0) return; // nothing to do; data() may be null
-  a_->spmm(x.cols(), x.data(), x.ld(), y.data(), y.ld());
-}
 
 void ScaledOperator::do_apply(std::span<const double> x,
                               std::span<double> y) const {

@@ -16,10 +16,18 @@
 /// wrappers: every application is tallied in per-instance OperatorStats
 /// (calls and operand columns), which is how the batched sweep proves its
 /// matrix-traffic reduction with measured numbers instead of wall-clock.
+///
+/// There is one seam for both data planes: LinearOperatorT<S> is typed on
+/// the scalar it streams, LinearOperator is its double instantiation, and
+/// MatrixOperator<M> is the one matrix-backed implementor -- CSR or SELL,
+/// full-width or narrowed (float values and/or int32 indices).
 
 #include <atomic>
 #include <cstddef>
 #include <span>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "la/block.hpp"
 #include "la/krylov_basis.hpp"
@@ -71,10 +79,15 @@ struct OperatorStats {
   }
 };
 
-/// Abstract y = A*x.
-class LinearOperator {
+/// Abstract y = A*x, typed on the scalar S of the data plane it streams.
+/// LinearOperator (S = double) is the reliable plane's operator; the
+/// narrowed inner plane of FT-GMRES (krylov/mixed.hpp) streams a
+/// LinearOperatorT<float> (or a double operator over an int32-indexed
+/// mirror).  Both count their traffic through the same wrappers.
+template <typename S>
+class LinearOperatorT {
 public:
-  virtual ~LinearOperator() = default;
+  virtual ~LinearOperatorT() = default;
 
   [[nodiscard]] virtual std::size_t rows() const = 0;
   [[nodiscard]] virtual std::size_t cols() const = 0;
@@ -82,7 +95,7 @@ public:
   /// y := A*x, the span entry point.  x.size() must equal cols() and
   /// y.size() must equal rows(); x and y must not alias.  The
   /// implementation (do_apply) must write every entry of y.
-  void apply(std::span<const double> x, std::span<double> y) const {
+  void apply(std::span<const S> x, std::span<S> y) const {
     apply_calls_.fetch_add(1, std::memory_order_relaxed);
     scalar_bytes_.fetch_add(do_scalar_bytes(1), std::memory_order_relaxed);
     index_bytes_.fetch_add(do_index_bytes(1), std::memory_order_relaxed);
@@ -90,20 +103,20 @@ public:
   }
 
   /// Convenience: y := A*x for owning vectors; resizes y to rows().
-  void apply(const la::Vector& x, la::Vector& y) const {
+  void apply(const la::VectorT<S>& x, la::VectorT<S>& y) const {
     if (y.size() != rows()) y.resize(rows());
-    apply(std::span<const double>(x.span()), y.span());
+    apply(std::span<const S>(x.span()), y.span());
   }
 
   /// Convenience: y := A*x for a span operand into an owning result.
-  void apply(std::span<const double> x, la::Vector& y) const {
+  void apply(std::span<const S> x, la::VectorT<S>& y) const {
     if (y.size() != rows()) y.resize(rows());
     apply(x, y.span());
   }
 
   /// Convenience: A*x by value.
-  [[nodiscard]] la::Vector operator()(const la::Vector& x) const {
-    la::Vector y(rows());
+  [[nodiscard]] la::VectorT<S> operator()(const la::VectorT<S>& x) const {
+    la::VectorT<S> y(rows());
     apply(x, y);
     return y;
   }
@@ -118,7 +131,7 @@ public:
   /// for free; matrix-backed operators override do_apply_block with a
   /// fused SpMM that streams the matrix once per block.  A zero-column
   /// block is a no-op.
-  void apply_block(const la::BasisView& x, la::BlockView y) const {
+  void apply_block(const la::BasisViewT<S>& x, la::BlockViewT<S> y) const {
     apply_block_calls_.fetch_add(1, std::memory_order_relaxed);
     block_columns_.fetch_add(x.cols(), std::memory_order_relaxed);
     scalar_bytes_.fetch_add(do_scalar_bytes(x.cols()),
@@ -152,24 +165,24 @@ public:
   }
 
 protected:
-  LinearOperator() = default;
+  LinearOperatorT() = default;
   /// Copies/assignments of an implementor carry its configuration, not
   /// its traffic history: the copied-to operator's counters (re)start
   /// at zero.
-  LinearOperator(const LinearOperator&) noexcept {}
-  LinearOperator& operator=(const LinearOperator&) noexcept {
+  LinearOperatorT(const LinearOperatorT&) noexcept {}
+  LinearOperatorT& operator=(const LinearOperatorT&) noexcept {
     reset_stats();
     return *this;
   }
 
   /// Virtual span core (see apply() for the contract).
-  virtual void do_apply(std::span<const double> x,
-                        std::span<double> y) const = 0;
+  virtual void do_apply(std::span<const S> x, std::span<S> y) const = 0;
 
   /// Virtual block core (see apply_block() for the contract).  The
   /// default loops over do_apply so counting stays call-accurate: one
   /// block call, x.cols() columns, however the block is realized.
-  virtual void do_apply_block(const la::BasisView& x, la::BlockView y) const {
+  virtual void do_apply_block(const la::BasisViewT<S>& x,
+                              la::BlockViewT<S> y) const {
     for (std::size_t j = 0; j < x.cols(); ++j) do_apply(x.col(j), y.col(j));
   }
 
@@ -184,8 +197,8 @@ protected:
     return 0;
   }
 
-  /// Bytes of index traffic one application streams (row_ptr + col_idx,
-  /// independent of the column count).  Default 0, see do_scalar_bytes.
+  /// Bytes of index traffic one application streams (independent of the
+  /// column count).  Default 0, see do_scalar_bytes.
   [[nodiscard]] virtual std::size_t
   do_index_bytes(std::size_t columns) const noexcept {
     (void)columns;
@@ -200,47 +213,76 @@ private:
   mutable std::atomic<std::size_t> index_bytes_{0};
 };
 
-/// Adapter exposing a CSR matrix as a LinearOperator (non-owning).
-class CsrOperator final : public LinearOperator {
+using LinearOperator = LinearOperatorT<double>;
+
+/// Scalar type of a sparse matrix format (the element type of values()).
+template <typename M>
+using matrix_scalar_t = typename std::remove_cvref_t<
+    decltype(std::declval<const M&>().values())>::value_type;
+
+/// Counting operator over a sparse matrix (non-owning): CSR or SELL, at
+/// full width or as a narrowed (scalar S, index I) mirror.  The format M
+/// provides spmv/spmm, stored() (entry slots streamed per pass, padding
+/// included) and index_slots() (index-typed entries streamed per pass).
+/// Byte accounting counts those at the format's true stored widths:
+/// one stream with C operand columns touches the stored slots once and
+/// C operand + C result columns, plus every index slot once.
+template <typename M>
+class MatrixOperator final : public LinearOperatorT<matrix_scalar_t<M>> {
 public:
-  explicit CsrOperator(const sparse::CsrMatrix& A) : a_(&A) {}
+  using S = matrix_scalar_t<M>;
+  using I = typename std::remove_cvref_t<
+      decltype(std::declval<const M&>().col_idx())>::value_type;
 
-  [[nodiscard]] std::size_t rows() const override { return a_->rows(); }
-  [[nodiscard]] std::size_t cols() const override { return a_->cols(); }
+  explicit MatrixOperator(const M& a) : a_(&a) {}
 
-  [[nodiscard]] const sparse::CsrMatrix& matrix() const { return *a_; }
+  [[nodiscard]] std::size_t rows() const noexcept override {
+    return a_->rows();
+  }
+  [[nodiscard]] std::size_t cols() const noexcept override {
+    return a_->cols();
+  }
+
+  /// The matrix behind the operator (the mixed plane narrows it).
+  [[nodiscard]] const M& matrix() const noexcept { return *a_; }
 
 protected:
   /// Zero-copy SpMV straight between spans (basis column in, workspace
   /// column out).
-  void do_apply(std::span<const double> x,
-                std::span<double> y) const override {
+  void do_apply(std::span<const S> x, std::span<S> y) const override {
     a_->spmv(x, y);
   }
 
   /// Fused SpMM: one pass over the matrix for the whole block instead of
-  /// one per column (columns stay bitwise identical to spmv -- see
-  /// CsrMatrix::spmm).
-  void do_apply_block(const la::BasisView& x, la::BlockView y) const override;
-
-  /// One stream with C operand columns touches the values once and C
-  /// operand + C result columns, all doubles.
-  [[nodiscard]] std::size_t
-  do_scalar_bytes(std::size_t columns) const noexcept override {
-    return sizeof(double) *
-           (a_->nnz() + columns * (a_->rows() + a_->cols()));
+  /// one per column (columns stay bitwise identical to spmv).
+  void do_apply_block(const la::BasisViewT<S>& x,
+                      la::BlockViewT<S> y) const override {
+    if (x.rows() != a_->cols() || y.rows() != a_->rows() ||
+        x.cols() != y.cols()) {
+      throw std::invalid_argument("MatrixOperator::apply_block: shape "
+                                  "mismatch");
+    }
+    if (x.cols() == 0) return; // nothing to do; data() may be null
+    a_->spmm(x.cols(), x.data(), x.ld(), y.data(), y.ld());
   }
 
-  /// row_ptr (rows+1) + col_idx (nnz), stored as size_t.
+  [[nodiscard]] std::size_t
+  do_scalar_bytes(std::size_t columns) const noexcept override {
+    return sizeof(S) * (a_->stored() + columns * (a_->rows() + a_->cols()));
+  }
+
   [[nodiscard]] std::size_t
   do_index_bytes(std::size_t columns) const noexcept override {
     (void)columns;
-    return sizeof(std::size_t) * (a_->nnz() + a_->rows() + 1);
+    return sizeof(I) * a_->index_slots();
   }
 
 private:
-  const sparse::CsrMatrix* a_;
+  const M* a_;
 };
+
+/// The CSR matrix as a LinearOperator.
+using CsrOperator = MatrixOperator<sparse::CsrMatrix>;
 
 /// Operator scaled by a constant: y = alpha * A * x (used in tests).
 class ScaledOperator final : public LinearOperator {

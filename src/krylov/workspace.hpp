@@ -25,6 +25,7 @@
 /// FtGmresWorkspace per worker thread.
 
 #include <memory>
+#include <vector>
 
 #include "dense/hessenberg_qr.hpp"
 #include "la/workspace.hpp"
@@ -41,6 +42,8 @@ template <typename S>
 struct KrylovWorkspaceT {
   la::SolverWorkspaceT<S> arena; ///< V/Z arenas, scratch vectors, h column
   dense::HessenbergQrT<S> qr;    ///< projected least-squares factorization
+  std::vector<double> lsq_y;     ///< projected solution y (always double)
+  std::vector<S> lsq_y_narrow;   ///< y narrowed to S (float engine only)
 };
 
 using KrylovWorkspace = KrylovWorkspaceT<double>;
@@ -52,8 +55,8 @@ struct FtGmresWorkspace {
   /// Float inner arena for precision=float configurations (unused and
   /// unallocated on the default double path).
   KrylovWorkspaceT<float> inner_f32;
-  /// Cached narrowed-operator mirror (scalar/index-compressed CSR copy +
-  /// bytes-streamed counters) for non-default precision/index
+  /// Cached narrowed mirror (scalar/index-compressed CSR or SELL copy
+  /// plus its counting operator) for non-default precision/index
   /// configurations; null on the default path.
   std::shared_ptr<MixedPlaneBase> plane;
 };

@@ -11,7 +11,6 @@
 /// from the CSR shape (values + col_idx + row_ptr at their stored
 /// widths), so the cache's byte budget meaningfully bounds memory.
 
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -21,8 +20,6 @@
 #include "krylov/precond.hpp"
 #include "service/cache.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/csr_mixed.hpp"
-#include "sparse/sell.hpp"
 
 namespace sdcgmres::service {
 
@@ -52,19 +49,6 @@ cached_preconditioner(ArtifactCache& cache,
                       const experiment::ScenarioSpec& spec,
                       const experiment::ScenarioProblem& problem);
 
-/// A^T of the spec's matrix (transpose-structure consumers, e.g. the
-/// fused normal-equations calibration path).
-[[nodiscard]] std::shared_ptr<const sparse::CsrMatrix> cached_transpose(
-    ArtifactCache& cache, const experiment::ScenarioSpec& spec,
-    const experiment::ScenarioProblem& problem);
-
-/// The float32/int32 narrowed CSR mirror (the precision=float index=32
-/// inner data plane's operator copy).
-[[nodiscard]] std::shared_ptr<
-    const sparse::CsrMatrixT<float, std::int32_t>>
-cached_mirror32(ArtifactCache& cache, const experiment::ScenarioSpec& spec,
-                const experiment::ScenarioProblem& problem);
-
 /// The spec's execution backend (`backend=` key), assembled once per
 /// matrix+backend and shared across jobs.  `csr` (the default) carries no
 /// assembled state and is returned uncached; `sell`/`auto` cache the
@@ -73,14 +57,5 @@ cached_mirror32(ArtifactCache& cache, const experiment::ScenarioSpec& spec,
 [[nodiscard]] std::shared_ptr<const krylov::MatrixBackend> cached_backend(
     ArtifactCache& cache, const experiment::ScenarioSpec& spec,
     const experiment::ScenarioProblem& problem);
-
-/// The float32/int32 narrowed SELL mirror of the spec's sell backend
-/// (what a backend=sell precision=float index=32 job's inner plane would
-/// stream); exercised by the service tests alongside cached_mirror32.
-[[nodiscard]] std::shared_ptr<
-    const sparse::SellMatrixT<float, std::int32_t>>
-cached_sell_mirror32(ArtifactCache& cache,
-                     const experiment::ScenarioSpec& spec,
-                     const experiment::ScenarioProblem& problem);
 
 } // namespace sdcgmres::service

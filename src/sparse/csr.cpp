@@ -86,18 +86,8 @@ void CsrMatrix::spmv(std::span<const double> x, std::span<double> y) const {
   if (y.size() != rows_) {
     throw std::invalid_argument("CsrMatrix::spmv: y size mismatch");
   }
-  const double* px = x.data();
-  double* py = y.data();
-  const auto n = static_cast<std::int64_t>(rows_);
-#pragma omp parallel for schedule(static) if (n > 2048)
-  for (std::int64_t ii = 0; ii < n; ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
-    double sum = 0.0;
-    for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      sum += values_[k] * px[col_idx_[k]];
-    }
-    py[i] = sum;
-  }
+  detail::csr_spmv_core(rows_, row_ptr_.data(), col_idx_.data(),
+                        values_.data(), x.data(), y.data());
 }
 
 void CsrMatrix::spmv(std::span<const double> x, la::Vector& y) const {
@@ -112,50 +102,10 @@ void CsrMatrix::spmv(const la::Vector& x, la::Vector& y) const {
 void CsrMatrix::spmm(std::size_t ncols, const double* x, std::size_t ldx,
                      double* y, std::size_t ldy) const {
   // Zero-column blocks are a no-op, returned before any pointer
-  // arithmetic: an empty la::BasisView/BlockView carries a null data
-  // pointer, and even forming x + c0 * ldx from it would be UB.
+  // arithmetic (see detail::csr_spmm_core).
   if (ncols == 0) return;
-  // Process right-hand sides in blocks of 4: one pass over the matrix per
-  // block, with 4 independent accumulator chains per row.  Each chain
-  // sums in the same order as spmv, so every output column is bitwise
-  // identical to a separate spmv of that column.
-  const auto n = static_cast<std::int64_t>(rows_);
-  for (std::size_t c0 = 0; c0 < ncols; c0 += 4) {
-    const std::size_t bw = std::min<std::size_t>(4, ncols - c0);
-    const double* x0 = x + c0 * ldx;
-    double* y0 = y + c0 * ldy;
-    if (bw == 4) {
-#pragma omp parallel for schedule(static) if (n > 2048)
-      for (std::int64_t ii = 0; ii < n; ++ii) {
-        const auto i = static_cast<std::size_t>(ii);
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-          const double a = values_[k];
-          const std::size_t j = col_idx_[k];
-          s0 += a * x0[j];
-          s1 += a * x0[j + ldx];
-          s2 += a * x0[j + 2 * ldx];
-          s3 += a * x0[j + 3 * ldx];
-        }
-        y0[i] = s0;
-        y0[i + ldy] = s1;
-        y0[i + 2 * ldy] = s2;
-        y0[i + 3 * ldy] = s3;
-      }
-    } else {
-#pragma omp parallel for schedule(static) if (n > 2048)
-      for (std::int64_t ii = 0; ii < n; ++ii) {
-        const auto i = static_cast<std::size_t>(ii);
-        double s[4] = {0.0, 0.0, 0.0, 0.0};
-        for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-          const double a = values_[k];
-          const std::size_t j = col_idx_[k];
-          for (std::size_t c = 0; c < bw; ++c) s[c] += a * x0[j + c * ldx];
-        }
-        for (std::size_t c = 0; c < bw; ++c) y0[i + c * ldy] = s[c];
-      }
-    }
-  }
+  detail::csr_spmm_core(rows_, row_ptr_.data(), col_idx_.data(),
+                        values_.data(), ncols, x, ldx, y, ldy);
 }
 
 void CsrMatrix::spmm(const la::BasisView& x, la::KrylovBasis& y) const {

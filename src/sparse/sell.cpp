@@ -80,35 +80,21 @@ void SellMatrix::spmv(std::span<const double> x, std::span<double> y) const {
   }
   const double* px = x.data();
   double* py = y.data();
-  const auto run = [&](auto c0) {
+  detail::dispatch_chunk(chunk_, [&](auto c0) {
     detail::sell_spmv_core<decltype(c0)::value, double, std::size_t>(
         rows_, n_chunks_, chunk_, chunk_ptr_.data(), len_.data(), perm_.data(),
         values_.data(), col_idx_.data(), px, py);
-  };
-  switch (chunk_) {
-  case 4: run(std::integral_constant<std::size_t, 4>{}); break;
-  case 8: run(std::integral_constant<std::size_t, 8>{}); break;
-  case 16: run(std::integral_constant<std::size_t, 16>{}); break;
-  case 32: run(std::integral_constant<std::size_t, 32>{}); break;
-  default: run(std::integral_constant<std::size_t, 0>{}); break;
-  }
+  });
 }
 
 void SellMatrix::spmm(std::size_t ncols, const double* x, std::size_t ldx,
                       double* y, std::size_t ldy) const {
   if (ncols == 0) return;
-  const auto run = [&](auto c0) {
+  detail::dispatch_chunk(chunk_, [&](auto c0) {
     detail::sell_spmm_core<decltype(c0)::value, double, std::size_t>(
         rows_, n_chunks_, chunk_, chunk_ptr_.data(), len_.data(), perm_.data(),
         values_.data(), col_idx_.data(), ncols, x, ldx, y, ldy);
-  };
-  switch (chunk_) {
-  case 4: run(std::integral_constant<std::size_t, 4>{}); break;
-  case 8: run(std::integral_constant<std::size_t, 8>{}); break;
-  case 16: run(std::integral_constant<std::size_t, 16>{}); break;
-  case 32: run(std::integral_constant<std::size_t, 32>{}); break;
-  default: run(std::integral_constant<std::size_t, 0>{}); break;
-  }
+  });
 }
 
 void SellMatrix::spmm(const la::BasisView& x, la::BlockView y) const {

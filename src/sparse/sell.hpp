@@ -66,6 +66,20 @@ namespace detail {
 /// accumulators (C doubles per right-hand side per chunk).
 inline constexpr std::size_t kSellMaxChunk = 256;
 
+/// Call \p run with the chunk height as a compile-time
+/// std::integral_constant for the specialized heights 4/8/16/32, or 0
+/// (the runtime-height generic path) for any other.
+template <typename Run>
+inline void dispatch_chunk(std::size_t chunk, Run&& run) {
+  switch (chunk) {
+  case 4: run(std::integral_constant<std::size_t, 4>{}); break;
+  case 8: run(std::integral_constant<std::size_t, 8>{}); break;
+  case 16: run(std::integral_constant<std::size_t, 16>{}); break;
+  case 32: run(std::integral_constant<std::size_t, 32>{}); break;
+  default: run(std::integral_constant<std::size_t, 0>{}); break;
+  }
+}
+
 /// SELL spmv core shared by SellMatrix and SellMatrixT.  C0 is the
 /// compile-time chunk height (0 selects the runtime-\p chunk generic
 /// path); \p len holds the non-increasing slot lengths per chunk and the
@@ -375,37 +389,23 @@ public:
     }
     const S* px = x.data();
     S* py = y.data();
-    const auto run = [&](auto c0) {
+    detail::dispatch_chunk(chunk_, [&](auto c0) {
       detail::sell_spmv_core<decltype(c0)::value, S, I>(
           rows_, n_chunks_, chunk_, chunk_ptr_.data(), len_.data(),
           perm_.data(), values_.data(), col_idx_.data(), px, py);
-    };
-    switch (chunk_) {
-    case 4: run(std::integral_constant<std::size_t, 4>{}); break;
-    case 8: run(std::integral_constant<std::size_t, 8>{}); break;
-    case 16: run(std::integral_constant<std::size_t, 16>{}); break;
-    case 32: run(std::integral_constant<std::size_t, 32>{}); break;
-    default: run(std::integral_constant<std::size_t, 0>{}); break;
-    }
+    });
   }
 
   /// Raw SpMM core (same contract as CsrMatrixT::spmm).
   void spmm(std::size_t ncols, const S* x, std::size_t ldx, S* y,
             std::size_t ldy) const {
     if (ncols == 0) return;
-    const auto run = [&](auto c0) {
+    detail::dispatch_chunk(chunk_, [&](auto c0) {
       detail::sell_spmm_core<decltype(c0)::value, S, I>(
           rows_, n_chunks_, chunk_, chunk_ptr_.data(), len_.data(),
           perm_.data(), values_.data(), col_idx_.data(), ncols, x, ldx, y,
           ldy);
-    };
-    switch (chunk_) {
-    case 4: run(std::integral_constant<std::size_t, 4>{}); break;
-    case 8: run(std::integral_constant<std::size_t, 8>{}); break;
-    case 16: run(std::integral_constant<std::size_t, 16>{}); break;
-    case 32: run(std::integral_constant<std::size_t, 32>{}); break;
-    default: run(std::integral_constant<std::size_t, 0>{}); break;
-    }
+    });
   }
 
   /// Y := A*X over block views (the lockstep staging path).

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -159,4 +162,42 @@ TEST(HessenbergQr, SurvivesHugeFaultyEntries) {
   const double res = qr.add_column(std::vector<double>{1.0, 1.0, 0.5});
   EXPECT_TRUE(std::isfinite(res));
   EXPECT_TRUE(std::isfinite(qr.r(0, 0)));
+}
+
+namespace {
+
+// back_substitute() against the by-value Standard path it replaces on the
+// GMRES solve path: bitwise equal entries (NaN compared by bits).
+template <typename S>
+void expect_back_substitute_matches_by_value(bool singular) {
+  const std::size_t k = 6;
+  dense::HessenbergQrT<S> qr(k, S(2.5));
+  for (std::size_t j = 0; j < k; ++j) {
+    std::vector<S> col(j + 2);
+    for (std::size_t i = 0; i < j + 2; ++i) {
+      col[i] = static_cast<S>(std::sin(1.0 + 3.0 * i + 7.0 * j));
+    }
+    // A zero column makes R singular: both paths must divide by the
+    // same zero diagonal.
+    if (singular && j == 3) std::fill(col.begin(), col.end(), S(0));
+    (void)qr.add_column(col);
+  }
+  std::vector<double> y(k);
+  qr.back_substitute(y);
+  const la::Vector ref = dense::back_substitute(qr.r_block(), qr.rhs_block());
+  for (std::size_t i = 0; i < k; ++i) {
+    std::uint64_t a = 0, b = 0;
+    std::memcpy(&a, &y[i], sizeof a);
+    std::memcpy(&b, &ref[i], sizeof b);
+    EXPECT_EQ(a, b) << "entry " << i;
+  }
+}
+
+} // namespace
+
+TEST(HessenbergQr, BackSubstituteMatchesTheByValueSolve) {
+  expect_back_substitute_matches_by_value<double>(false);
+  expect_back_substitute_matches_by_value<float>(false);
+  expect_back_substitute_matches_by_value<double>(true);
+  expect_back_substitute_matches_by_value<float>(true);
 }

@@ -66,6 +66,41 @@ TEST(ShardedSweep, MatchesSerialResultBitwise) {
   std::remove(path.c_str());
 }
 
+// The sharded sweep's traffic is the sum of its range journals' last
+// stats records.  At batch=1 every point streams the matrix on its own,
+// so the split into ranges cannot change the totals: they must equal the
+// in-process sweep's, on the default plane and on the narrowed float one.
+TEST(ShardedSweep, ReportsTheInProcessOperatorStats) {
+  const auto A = gen::poisson2d(6);
+  const la::Vector b = la::ones(36);
+
+  for (const auto precision :
+       {sdcgmres::krylov::Precision::Double,
+        sdcgmres::krylov::Precision::Float}) {
+    auto config = small_sweep_config(journal_path("stats"));
+    config.batch = 1;
+    config.solver.precision = precision;
+    auto serial_config = config;
+    serial_config.journal.clear();
+    const auto serial = experiment::run_injection_sweep(A, b, serial_config);
+    ASSERT_GT(serial.operator_stats.bytes(), 0u);
+
+    experiment::ShardOptions shard;
+    shard.workers = 2;
+    const auto sharded = experiment::run_sharded_sweep(A, b, config, shard);
+    expect_identical(sharded, serial);
+    EXPECT_EQ(sharded.operator_stats, serial.operator_stats);
+
+    // Resuming the finished merged journal re-solves nothing and restores
+    // the traffic from its closing stats record.
+    config.resume = true;
+    const auto resumed = experiment::run_sharded_sweep(A, b, config, shard);
+    expect_identical(resumed, serial);
+    EXPECT_EQ(resumed.operator_stats, serial.operator_stats);
+    std::remove(config.journal.c_str());
+  }
+}
+
 TEST(ShardedSweep, Kill9MidRangeStillMatchesSerialBitwise) {
   const auto A = gen::poisson2d(6);
   const la::Vector b = la::ones(36);

@@ -286,7 +286,7 @@ TEST(MixedPrecisionFtGmres, FloatInnerRequiresCsrBackedOperator) {
 TEST(MixedPrecisionFtGmres, MirrorCountsNarrowedBytes) {
   const auto A = gen::poisson2d(10); // n = 100
   const sparse::CsrMatrixT<float, std::int32_t> M(A);
-  const krylov::MixedCsrOperator<float, std::int32_t> op(M);
+  const krylov::MatrixOperator<sparse::CsrMatrixT<float, std::int32_t>> op(M);
   std::vector<float> x(A.cols(), 1.0f), y(A.rows());
   op.apply(std::span<const float>(x), std::span<float>(y));
   const auto s = op.stats();

@@ -282,7 +282,7 @@ TEST(AbftFloatPlane, WidenedViewsArePinnedSStep) {
 TEST(AbftFloatPlane, ViewsMirrorTheFloatArenaAcrossRestarts) {
   const auto A = gen::convection_diffusion2d(10, 20.0, -5.0);
   const sparse::CsrMatrixT<float, std::int32_t> af(A);
-  const krylov::MixedCsrOperator<float, std::int32_t> op(af);
+  const krylov::MatrixOperator<sparse::CsrMatrixT<float, std::int32_t>> op(af);
   const la::Vector bd = generic_vector(A.rows());
   std::vector<float> b(A.rows());
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<float>(bd[i]);
@@ -299,7 +299,7 @@ TEST(AbftFloatPlane, ViewsMirrorTheFloatArenaAcrossRestarts) {
     std::vector<float> x(A.rows(), 0.0f);
     krylov::GmresEngineT<float> engine(A.rows(), A.cols(), b, x, opts,
                                        &checker, 0, ws, nullptr);
-    while (!engine.finished()) krylov::step_with_apply_t(op, engine);
+    while (!engine.finished()) krylov::step_with_apply(op, engine);
     EXPECT_EQ(engine.stats().status, krylov::SolveStatus::MaxIterations);
     EXPECT_EQ(checker.views, 20u);
     EXPECT_EQ(checker.mismatches, 0u);
